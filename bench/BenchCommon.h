@@ -18,7 +18,6 @@
 #include "solver/ModelCounter.h"
 #include "support/ParseNum.h"
 #include "support/Stats.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -127,76 +126,13 @@ inline unsigned parseRuns(int Argc, char **Argv, unsigned Default) {
   return Default;
 }
 
-/// Parses a "--threads N" / "--threads=N" override for the parallel
-/// sections; 0 means hardware concurrency.
-inline unsigned parseThreads(int Argc, char **Argv, unsigned Default) {
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--threads") == 0 && I + 1 < Argc)
-      return parseBenchUnsigned("--threads", Argv[I + 1]);
-    if (std::strncmp(Argv[I], "--threads=", 10) == 0)
-      return parseBenchUnsigned("--threads", Argv[I] + 10);
-  }
-  return Default;
-}
-
-/// The thread counts the parallel reports sweep: a curve, not a single
-/// point, so the scaling shape (or the single-core overhead plateau) is
-/// visible in the JSON. `--threads N` collapses the sweep to one count.
-inline std::vector<unsigned> parseThreadCounts(int Argc, char **Argv) {
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--threads") == 0 && I + 1 < Argc)
-      return {parseBenchUnsigned("--threads", Argv[I + 1])};
-    if (std::strncmp(Argv[I], "--threads=", 10) == 0)
-      return {parseBenchUnsigned("--threads", Argv[I] + 10)};
-  }
-  return {1, 2, 4, 8};
-}
-
-/// One serial-vs-parallel wall-time comparison for the BENCH_parallel
-/// JSON reports.
-struct ParallelSample {
-  std::string Name;
-  unsigned Threads = 1;
-  double SerialSeconds = 0;
-  double ParallelSeconds = 0;
-};
-
-/// Writes \p Samples to \p Path as a JSON array with derived speedups.
-/// Speedups only materialize with real cores: on a single-core host the
-/// parallel engine pays its (small) decomposition overhead for nothing.
-inline void writeParallelBenchJson(const std::string &Path,
-                                   const std::vector<ParallelSample> &Samples,
-                                   unsigned HardwareThreads) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (F == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    return;
-  }
-  std::fprintf(F, "{\n  \"hardware_threads\": %u,\n  \"samples\": [\n",
-               HardwareThreads);
-  for (size_t I = 0; I != Samples.size(); ++I) {
-    const ParallelSample &S = Samples[I];
-    double Speedup =
-        S.ParallelSeconds > 0 ? S.SerialSeconds / S.ParallelSeconds : 0;
-    std::fprintf(F,
-                 "    {\"name\": \"%s\", \"threads\": %u, "
-                 "\"serial_s\": %.6f, \"parallel_s\": %.6f, "
-                 "\"speedup\": %.3f}%s\n",
-                 S.Name.c_str(), S.Threads, S.SerialSeconds,
-                 S.ParallelSeconds, Speedup,
-                 I + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "  ]\n}\n");
-  std::fclose(F);
-}
-
 /// One throughput measurement in the shared vocabulary every harness
 /// emits: solver nodes per second for search-shaped work, predicate
 /// evaluations per second for probe-shaped work. Zero means "not
 /// measured for this sample" and renders as null, never as a fake 0.
 struct ThroughputSample {
   std::string Name;     ///< Benchmark or workload name.
-  std::string Variant;  ///< e.g. "tree_walk", "tape", "tape_batch".
+  std::string Variant;  ///< e.g. "tree_walk", "tape".
   double Seconds = 0;   ///< Median wall seconds for the sample.
   uint64_t Nodes = 0;   ///< Solver nodes charged during the sample.
   uint64_t Evals = 0;   ///< Predicate box-evaluations performed.

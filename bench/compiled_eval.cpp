@@ -6,19 +6,15 @@
 //   * fig5a: interval synthesis (under + over), solver nodes/sec,
 //   * fig5b: powerset synthesis at k = 3, solver nodes/sec,
 //   * table1: exact ind. set counting, solver nodes/sec,
-//   * probe: raw per-box query evaluation, evals/sec, in three variants —
-//     tree walk, scalar tape, and the batched SoA tape interpreter.
+//   * probe: raw per-box query evaluation, evals/sec, tree walk vs tape.
 //
 // Every search workload is also a determinism check: the tape is
 // bit-identical to the tree walk, so Off-mode and On-mode runs must
 // produce byte-equal artifacts and identical node counts, and this
 // harness exits nonzero if they do not.
 //
-// Acceptance bar (hard): on every benchmark, the *batched* tape must
-// reach at least tree-walk probe throughput. A regression exits 1, so the
-// bar is enforced wherever the bench runs, not just eyeballed in the
-// JSON. Results go to BENCH_compiled.json via the shared throughput
-// reporter (BenchCommon.h), same fields as the other harnesses.
+// Results go to BENCH_compiled.json via the shared throughput reporter
+// (BenchCommon.h), same fields as the other harnesses.
 //
 //===----------------------------------------------------------------------===//
 
@@ -220,13 +216,9 @@ int main(int Argc, char **Argv) {
   }
 
   // -- Probe workload: raw per-box evaluation, evals/sec. ---------------
-  // This is where the acceptance bar lives: the batched tape must not
-  // lose to the tree walk on any benchmark.
-  std::printf("\n== probe evals/sec (tree walk vs scalar tape vs batched "
-              "tape) ==\n");
+  std::printf("\n== probe evals/sec (tree walk vs tape) ==\n");
   const size_t ProbeBoxes = 4096;
   const size_t ProbeIters = 32;
-  bool BarFailed = false;
   for (const BenchmarkProblem &P : mardzielBenchmarks()) {
     ExprRef Q = P.query().Body;
     TapeRef T = Tape::compile(*Q);
@@ -235,19 +227,12 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     std::vector<Box> Boxes = probeBoxes(P.M.schema(), ProbeBoxes);
-    BoxBatch Batch;
-    Batch.assign(Boxes.data(), Boxes.size());
     TapeScratch Scratch;
-    std::vector<Tribool> Out(Boxes.size());
     const uint64_t Evals = ProbeBoxes * ProbeIters;
 
-    // The three variants must agree before their clocks matter.
-    T->runBatch(Batch, Scratch, Out.data());
-    for (size_t I = 0; I != Boxes.size(); ++I) {
-      Tribool Want = evalTribool(*Q, Boxes[I]);
-      dieOnMismatch("probe scalar", P.Id, T->run(Boxes[I], Scratch) == Want);
-      dieOnMismatch("probe batch", P.Id, Out[I] == Want);
-    }
+    // The variants must agree before their clocks matter.
+    for (const Box &B : Boxes)
+      dieOnMismatch("probe", P.Id, T->run(B, Scratch) == evalTribool(*Q, B));
 
     ThroughputSample Walk{P.Id + "_probe", "tree_walk",
                           medianSeconds(Runs,
@@ -267,44 +252,18 @@ int main(int Argc, char **Argv) {
                                                 (void)T->run(B, Scratch);
                                           }),
                             0, Evals};
-    ThroughputSample Batched{P.Id + "_probe", "tape_batch",
-                             medianSeconds(Runs,
-                                           [&] {
-                                             for (size_t It = 0;
-                                                  It != ProbeIters; ++It)
-                                               T->runBatch(Batch, Scratch,
-                                                           Out.data());
-                                           }),
-                             0, Evals};
-    std::printf("  %s: tree walk %.2fM/s, scalar tape %.2fM/s, batched "
-                "tape %.2fM/s (%.2fx)\n",
+    std::printf("  %s: tree walk %.2fM/s, tape %.2fM/s (%.2fx)\n",
                 P.Id.c_str(), Walk.evalsPerSec() / 1e6,
-                Scalar.evalsPerSec() / 1e6, Batched.evalsPerSec() / 1e6,
-                Walk.Seconds > 0 ? Walk.Seconds / Batched.Seconds : 0.0);
-    if (Batched.evalsPerSec() < Walk.evalsPerSec()) {
-      std::fprintf(stderr,
-                   "ACCEPTANCE FAILURE: batched tape below tree walk on %s "
-                   "(%.0f < %.0f evals/s)\n",
-                   P.Id.c_str(), Batched.evalsPerSec(), Walk.evalsPerSec());
-      BarFailed = true;
-    }
+                Scalar.evalsPerSec() / 1e6,
+                Walk.Seconds > 0 ? Walk.Seconds / Scalar.Seconds : 0.0);
     Samples.push_back(Walk);
     Samples.push_back(Scalar);
-    Samples.push_back(Batched);
   }
 
-  writeThroughputJson(
-      "BENCH_compiled.json", Samples,
-      "  \"acceptance\": \"tape_batch evals/sec >= tree_walk on every "
-      "benchmark (hard-fail)\",\n  \"probe_boxes\": " +
-          std::to_string(ProbeBoxes) +
-          ",\n  \"probe_iters\": " + std::to_string(ProbeIters) + ",\n");
+  writeThroughputJson("BENCH_compiled.json", Samples,
+                      "  \"probe_boxes\": " + std::to_string(ProbeBoxes) +
+                          ",\n  \"probe_iters\": " +
+                          std::to_string(ProbeIters) + ",\n");
   std::printf("\n  wrote BENCH_compiled.json\n");
-  if (BarFailed) {
-    std::fprintf(stderr, "compiled-eval acceptance bar FAILED\n");
-    return 1;
-  }
-  std::printf("  acceptance bar held: batched tape >= tree walk on every "
-              "benchmark\n");
   return 0;
 }

@@ -7,8 +7,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchCommon.h"
-
 #include "benchlib/Problems.h"
 #include "domains/AbstractDomain.h"
 #include "solver/ModelCounter.h"
@@ -93,22 +91,6 @@ void BM_ExactCountDiamond(benchmark::State &State) {
 }
 BENCHMARK(BM_ExactCountDiamond);
 
-/// The same count through the parallel engine with Arg(0) threads; the
-/// count is bit-identical, the wall time shows the pool's scaling (or its
-/// overhead, on a single-core host).
-void BM_ExactCountDiamondParallel(benchmark::State &State) {
-  const BenchmarkProblem &NB = nearbyProblem();
-  PredicateRef Q = exprPredicate(NB.M.findQuery("nearby200")->Body);
-  Box Top = Box::top(NB.M.schema());
-  ThreadPool Pool(static_cast<unsigned>(State.range(0)));
-  SolverParallel Par;
-  Par.Pool = &Pool;
-  Par.SequentialCutoffVolume = 1024;
-  for (auto _ : State)
-    benchmark::DoNotOptimize(countSatExact(*Q, Top, Par));
-}
-BENCHMARK(BM_ExactCountDiamondParallel)->Arg(2)->Arg(4)->Arg(8);
-
 /// The runtime cost of one bounded downgrade's knowledge update (the
 /// "free at runtime" claim of §6.1): intersect + two policy sizes.
 void BM_DowngradeKnowledgeUpdate(benchmark::State &State) {
@@ -125,62 +107,6 @@ void BM_DowngradeKnowledgeUpdate(benchmark::State &State) {
 }
 BENCHMARK(BM_DowngradeKnowledgeUpdate);
 
-/// Exact counting over the whole Mardziel suite, serial vs each thread
-/// count, written to BENCH_parallel_ops.json as a scaling curve (fig5a
-/// writes the synthesis counterpart to BENCH_parallel.json).
-void emitParallelCountReport(const std::vector<unsigned> &Counts) {
-  std::vector<ParallelSample> Samples;
-  for (const BenchmarkProblem &P : mardzielBenchmarks()) {
-    PredicateRef Q = exprPredicate(P.query().Body);
-    Box Top = Box::top(P.M.schema());
-    // One serial baseline per benchmark, shared by every curve point.
-    double SerialSeconds = medianSeconds(5, [&] { countSatExact(*Q, Top); });
-    for (unsigned Threads : Counts) {
-      ThreadPool Pool(Threads);
-      SolverParallel Par;
-      Par.Pool = &Pool;
-      if (countSatExact(*Q, Top) != countSatExact(*Q, Top, Par)) {
-        std::fprintf(stderr, "DETERMINISM VIOLATION on %s (%u threads)\n",
-                     P.Id.c_str(), Threads);
-        std::exit(1);
-      }
-      ParallelSample Sample;
-      Sample.Name = P.Id + "/countSat";
-      Sample.Threads = Threads;
-      Sample.SerialSeconds = SerialSeconds;
-      Sample.ParallelSeconds =
-          medianSeconds(5, [&] { countSatExact(*Q, Top, Par); });
-      Samples.push_back(Sample);
-    }
-  }
-  writeParallelBenchJson("BENCH_parallel_ops.json", Samples,
-                         Parallelism{}.resolved());
-  std::printf("wrote BENCH_parallel_ops.json (%zu thread counts)\n",
-              Counts.size());
-}
-
 } // namespace
 
-int main(int Argc, char **Argv) {
-  std::vector<unsigned> Counts = parseThreadCounts(Argc, Argv);
-  // Strip our flags so google-benchmark's parser doesn't reject them.
-  std::vector<char *> Passthrough;
-  for (int I = 0; I != Argc; ++I) {
-    if (std::strcmp(Argv[I], "--threads") == 0 && I + 1 < Argc) {
-      ++I;
-      continue;
-    }
-    if (std::strncmp(Argv[I], "--threads=", 10) == 0)
-      continue;
-    Passthrough.push_back(Argv[I]);
-  }
-  int PassArgc = static_cast<int>(Passthrough.size());
-  benchmark::Initialize(&PassArgc, Passthrough.data());
-  if (benchmark::ReportUnrecognizedArguments(PassArgc, Passthrough.data()))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  emitParallelCountReport(Counts);
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -9,7 +9,7 @@
 /// subcommand: a compiler-style human listing and a machine-readable JSON
 /// report (severity, verdict, query id, witness box, suggested fix) that
 /// CI archives and gates on. Both renderings are pure functions of the
-/// analysis — byte-identical across runs and thread counts.
+/// analysis — byte-identical across runs.
 ///
 //===----------------------------------------------------------------------===//
 

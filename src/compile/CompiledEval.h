@@ -42,7 +42,7 @@ namespace anosy {
 
 enum class CompiledEvalMode { Off, On, Auto };
 
-/// The current process-wide mode (atomic; safe from pool threads).
+/// The current process-wide mode (atomic; safe from any thread).
 CompiledEvalMode compiledEvalMode();
 void setCompiledEvalMode(CompiledEvalMode M);
 

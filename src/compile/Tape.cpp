@@ -1,14 +1,13 @@
 //===- compile/Tape.cpp - Compiled query bytecode -------------------------===//
 //
-// The one-shot Expr→tape compiler and the two interpreters. See Tape.h
-// for the execution model and the straight-line-batch soundness argument.
+// The one-shot Expr→tape compiler and the interpreter. See Tape.h for the
+// execution model.
 //
 //===----------------------------------------------------------------------===//
 
 #include "compile/Tape.h"
 
 #include "domains/IntervalArith.h"
-#include "obs/Instrument.h"
 
 #include <unordered_map>
 
@@ -333,174 +332,6 @@ Interval Tape::runRange(const Box &B, TapeScratch &S) const {
   prepareScalar(*this, S);
   runScalar(Insns, Pool, B, S);
   return S.IntRegs[0];
-}
-
-//===----------------------------------------------------------------------===//
-// Batch interpreter
-//===----------------------------------------------------------------------===//
-
-void Tape::runBatch(const BoxBatch &Batch, TapeScratch &S,
-                    Tribool *Out) const {
-  assert(ResultIsBool && "runBatch() on an integer-sorted tape");
-  const size_t N = Batch.count();
-  if (N == 0)
-    return;
-
-  // Batch-grained (never per-node/per-lane): one counter bump per batch,
-  // the same granularity as the solver's per-decomposition counters.
-  ANOSY_OBS_COUNT("anosy_tape_batch_evals_total",
-                  "Box lanes evaluated by the batched tape interpreter", N);
-
-  // Register-major lane arrays; grow-only like the scalar files.
-  const size_t IntLanes = static_cast<size_t>(NumIntRegs) * N;
-  const size_t TriLanes = static_cast<size_t>(NumBoolRegs) * N;
-  if (S.IntLo.size() < IntLanes) {
-    S.IntLo.resize(IntLanes, 0);
-    S.IntHi.resize(IntLanes, 0);
-  }
-  if (S.TriLanes.size() < TriLanes)
-    S.TriLanes.resize(TriLanes, Tribool::False);
-
-  int64_t *Lo = S.IntLo.data();
-  int64_t *Hi = S.IntHi.data();
-  Tribool *Tri = S.TriLanes.data();
-
-  // Straight-line execution: jumps fall through, so every lane computes
-  // every instruction. Per-instruction lane loops keep the dispatch cost
-  // at one switch per instruction per *batch* and hand the arithmetic
-  // loops to the auto-vectorizer.
-  for (const TapeInsn &I : Insns) {
-    int64_t *DLo = Lo + static_cast<size_t>(I.Dst) * N;
-    int64_t *DHi = Hi + static_cast<size_t>(I.Dst) * N;
-    const int64_t *ALo = Lo + static_cast<size_t>(I.A) * N;
-    const int64_t *AHi = Hi + static_cast<size_t>(I.A) * N;
-    const int64_t *BLo = Lo + static_cast<size_t>(I.B) * N;
-    const int64_t *BHi = Hi + static_cast<size_t>(I.B) * N;
-    switch (I.Op) {
-    case TapeOp::LoadConst: {
-      const int64_t V = Pool[static_cast<size_t>(I.Imm)];
-      for (size_t L = 0; L != N; ++L) {
-        DLo[L] = V;
-        DHi[L] = V;
-      }
-      break;
-    }
-    case TapeOp::LoadField: {
-      const int64_t *SrcLo = Batch.lo(static_cast<size_t>(I.Imm));
-      const int64_t *SrcHi = Batch.hi(static_cast<size_t>(I.Imm));
-      for (size_t L = 0; L != N; ++L) {
-        DLo[L] = SrcLo[L];
-        DHi[L] = SrcHi[L];
-      }
-      break;
-    }
-    case TapeOp::NegI:
-      for (size_t L = 0; L != N; ++L) {
-        const int64_t NLo = iarith::satNeg(AHi[L]);
-        const int64_t NHi = iarith::satNeg(ALo[L]);
-        DLo[L] = NLo;
-        DHi[L] = NHi;
-      }
-      break;
-    case TapeOp::AddI:
-      for (size_t L = 0; L != N; ++L) {
-        DLo[L] = satAdd(ALo[L], BLo[L]);
-        DHi[L] = satAdd(AHi[L], BHi[L]);
-      }
-      break;
-    case TapeOp::SubI:
-      for (size_t L = 0; L != N; ++L) {
-        const int64_t SLo = satAdd(ALo[L], satNeg(BHi[L]));
-        const int64_t SHi = satAdd(AHi[L], satNeg(BLo[L]));
-        DLo[L] = SLo;
-        DHi[L] = SHi;
-      }
-      break;
-    case TapeOp::MulI:
-      for (size_t L = 0; L != N; ++L) {
-        const int64_t P1 = satMul(ALo[L], BLo[L]);
-        const int64_t P2 = satMul(ALo[L], BHi[L]);
-        const int64_t P3 = satMul(AHi[L], BLo[L]);
-        const int64_t P4 = satMul(AHi[L], BHi[L]);
-        DLo[L] = std::min(std::min(P1, P2), std::min(P3, P4));
-        DHi[L] = std::max(std::max(P1, P2), std::max(P3, P4));
-      }
-      break;
-    case TapeOp::AbsI:
-      for (size_t L = 0; L != N; ++L) {
-        const Interval R = rangeAbs({ALo[L], AHi[L]});
-        DLo[L] = R.Lo;
-        DHi[L] = R.Hi;
-      }
-      break;
-    case TapeOp::MinI:
-      for (size_t L = 0; L != N; ++L) {
-        DLo[L] = std::min(ALo[L], BLo[L]);
-        DHi[L] = std::min(AHi[L], BHi[L]);
-      }
-      break;
-    case TapeOp::MaxI:
-      for (size_t L = 0; L != N; ++L) {
-        DLo[L] = std::max(ALo[L], BLo[L]);
-        DHi[L] = std::max(AHi[L], BHi[L]);
-      }
-      break;
-    case TapeOp::Sel: {
-      const Tribool *C = Tri + static_cast<size_t>(I.Imm) * N;
-      for (size_t L = 0; L != N; ++L) {
-        const Interval R =
-            rangeSelect(C[L], {ALo[L], AHi[L]}, {BLo[L], BHi[L]});
-        DLo[L] = R.Lo;
-        DHi[L] = R.Hi;
-      }
-      break;
-    }
-    case TapeOp::LoadBool: {
-      const Tribool V = triboolOf(I.Imm != 0);
-      Tribool *D = Tri + static_cast<size_t>(I.Dst) * N;
-      for (size_t L = 0; L != N; ++L)
-        D[L] = V;
-      break;
-    }
-    case TapeOp::CmpII: {
-      const CmpOp Op = static_cast<CmpOp>(I.Imm);
-      Tribool *D = Tri + static_cast<size_t>(I.Dst) * N;
-      for (size_t L = 0; L != N; ++L)
-        D[L] = rangeCmp(Op, {ALo[L], AHi[L]}, {BLo[L], BHi[L]});
-      break;
-    }
-    case TapeOp::NotB: {
-      Tribool *D = Tri + static_cast<size_t>(I.Dst) * N;
-      const Tribool *A = Tri + static_cast<size_t>(I.A) * N;
-      for (size_t L = 0; L != N; ++L)
-        D[L] = triNot(A[L]);
-      break;
-    }
-    case TapeOp::AndB: {
-      Tribool *D = Tri + static_cast<size_t>(I.Dst) * N;
-      const Tribool *A = Tri + static_cast<size_t>(I.A) * N;
-      const Tribool *Bb = Tri + static_cast<size_t>(I.B) * N;
-      for (size_t L = 0; L != N; ++L)
-        D[L] = triAnd(A[L], Bb[L]);
-      break;
-    }
-    case TapeOp::OrB: {
-      Tribool *D = Tri + static_cast<size_t>(I.Dst) * N;
-      const Tribool *A = Tri + static_cast<size_t>(I.A) * N;
-      const Tribool *Bb = Tri + static_cast<size_t>(I.B) * N;
-      for (size_t L = 0; L != N; ++L)
-        D[L] = triOr(A[L], Bb[L]);
-      break;
-    }
-    case TapeOp::JmpIfFalse:
-    case TapeOp::JmpIfTrue:
-      break;
-    }
-  }
-
-  const Tribool *R = Tri; // Result register is tri[0].
-  for (size_t L = 0; L != N; ++L)
-    Out[L] = R[L];
 }
 
 //===----------------------------------------------------------------------===//

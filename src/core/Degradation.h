@@ -24,8 +24,6 @@
 #ifndef ANOSY_CORE_DEGRADATION_H
 #define ANOSY_CORE_DEGRADATION_H
 
-#include "support/ThreadPool.h"
-
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -138,11 +136,6 @@ struct SessionStats {
 /// obs runtime switch is off (and compiled out under ANOSY_OBS_DISABLED),
 /// so sessions stay observability-free by default.
 void publishSessionStats(const SessionStats &Stats);
-
-/// Publishes a pool's activity counters as anosy_pool_* gauges. The pool
-/// itself keeps plain atomics (support must not depend on obs); callers
-/// holding both ends — AnosySession, the CLI — bridge them here.
-void publishPoolStats(const ThreadPool::PoolStats &Stats);
 
 } // namespace anosy
 

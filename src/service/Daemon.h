@@ -142,7 +142,10 @@ struct DaemonOptions {
   std::string CacheDir;
   /// Bounded-queue capacity; pushes beyond it shed.
   size_t QueueCapacity = 64;
-  /// Worker threads. 0 = manual-pump mode (deterministic; see pump()).
+  /// Worker threads. With the watchdog, these are the daemon's only
+  /// threads: sessions register serially on the worker that runs them,
+  /// so the thread count does not grow with tenants. 0 = manual-pump
+  /// mode (deterministic; see pump()).
   unsigned Workers = 2;
   /// Deadline applied to requests that do not carry their own; 0 = none.
   uint64_t DefaultDeadlineMs = 0;
@@ -153,7 +156,7 @@ struct DaemonOptions {
   /// Base backoff between flush attempts, doubled per retry.
   uint64_t RetryBackoffMs = 1;
   TenantQuotas Quotas;
-  /// Base options for every tenant session (threads, retry policy, ...).
+  /// Base options for every tenant session (retry policy, budgets, ...).
   /// StaticAdmission is forced on per registration — the front door's
   /// lint admission — unless a service-admit fault skips it.
   SessionOptions Session;

@@ -2,89 +2,56 @@
 
 #include "solver/Decide.h"
 
-#include "solver/ParallelBnB.h"
-
 #include <vector>
 
 using namespace anosy;
-using namespace anosy::bnb;
 
 namespace {
 
-struct NoCancel {
-  bool operator()() const { return false; }
-};
-
-/// Lowers \p Min to \p I if \p I is smaller (atomic fetch-min).
-void casMin(std::atomic<size_t> &Min, size_t I) {
-  size_t Cur = Min.load();
-  while (I < Cur && !Min.compare_exchange_weak(Cur, I))
-    ;
+/// SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation.
+inline uint64_t mix64(uint64_t X) {
+  X += 0x9e3779b97f4a7c15ULL;
+  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
+  return X ^ (X >> 31);
 }
 
-/// The ∀-search over one subtree; exactly the legacy serial loop, plus a
-/// cancellation probe. A cancelled search returns a neutral Holds=true —
-/// callers only cancel subtrees whose result can no longer matter.
-template <typename CancelFn>
-ForallResult forallSubtree(const Predicate &P, const SplitHints &Hints,
-                           Box Root, SolverBudget &Budget, CancelFn Cancel) {
-  ForallResult Result;
-  Result.Holds = true;
-  std::vector<Box> Stack;
-  Stack.push_back(std::move(Root));
-  while (!Stack.empty()) {
-    if (Cancel())
-      return Result;
-    if (!Budget.charge()) {
-      Result.Exhausted = true;
-      Result.Holds = false;
-      return Result;
-    }
-    Box Cur = std::move(Stack.back());
-    Stack.pop_back();
+/// Path code of the search root for a given salt.
+inline uint64_t rootCode(uint64_t Salt) { return mix64(Salt ^ 0xa905a905ULL); }
 
-    Tribool T = P.evalBox(Cur);
-    if (T == Tribool::True)
-      continue;
-    if (T == Tribool::False) {
-      // No point of Cur satisfies P; its center is a counterexample.
-      Result.Holds = false;
-      Result.CounterExample = Cur.center();
-      return Result;
-    }
-    if (Cur.isUnit()) {
-      Point Pt = Cur.center();
-      if (!P.evalPoint(Pt)) {
-        Result.Holds = false;
-        Result.CounterExample = std::move(Pt);
-        return Result;
-      }
-      continue;
-    }
-    auto [Left, Right] = splitWithHints(Cur, Hints);
-    Stack.push_back(std::move(Left));
-    Stack.push_back(std::move(Right));
-  }
-  return Result;
+/// Path code of a split child, chained from the parent's code.
+inline uint64_t childCode(uint64_t Code, bool LeftChild) {
+  return mix64(Code ^ (LeftChild ? 0x632be59bd9b4e019ULL
+                                 : 0xe220a8397b1dcdafULL));
 }
 
-/// The ∃-search over one subtree. Which half is explored first is a pure
-/// function of (Salt, path code) — see ParallelBnB.h — so the order is
-/// the same whether this subtree is reached serially or as a pool task.
-template <typename CancelFn>
-ExistsResult existsSubtree(const Predicate &P, const SplitHints &Hints,
-                           Box Root, uint64_t RootPathCode, uint64_t Salt,
-                           SolverBudget &Budget, CancelFn Cancel) {
+/// Which half of a salted ∃-split is explored first. Pure in
+/// (Salt, Code), so the order of a diverse search — and every artifact
+/// the box grower builds from it — is fixed by its salt.
+inline bool saltedLeftFirst(uint64_t Salt, uint64_t Code) {
+  return Salt == 0 || (mix64(Code ^ Salt) & 1) == 0;
+}
+
+/// The ∃-search. Which half is explored first is a pure function of
+/// (Salt, path code); salt 0 always visits the left half first (plain
+/// findWitness).
+ExistsResult findWitnessImpl(const Predicate &P, const Box &B, uint64_t Salt,
+                             SolverBudget &Budget) {
   ExistsResult Result;
+  if (B.isEmpty())
+    return Result;
+
+  SplitHints Hints;
+  P.splitHints(Hints);
+  normalizeSplitHints(Hints);
+
   struct Entry {
     Box B;
     uint64_t Code;
   };
   std::vector<Entry> Stack;
-  Stack.push_back({std::move(Root), RootPathCode});
+  Stack.push_back({B, rootCode(Salt)});
   while (!Stack.empty()) {
-    if (Cancel())
-      return Result;
     if (!Budget.charge()) {
       Result.Exhausted = true;
       return Result;
@@ -121,180 +88,62 @@ ExistsResult existsSubtree(const Predicate &P, const SplitHints &Hints,
   return Result;
 }
 
-ForallResult parallelForall(const Predicate &P, const SplitHints &Hints,
-                            const Box &B, SolverBudget &Budget,
-                            const SolverParallel &Par) {
-  Decomposition D = decomposeSearch(P, Hints, B, ExploreOrder::SecondHalfFirst,
-                                    /*Salt=*/0, Par.targetTasks(),
-                                    Par.SequentialCutoffVolume, Tribool::False,
-                                    Budget);
-  if (D.Exhausted) {
-    ForallResult R;
-    R.Exhausted = true;
-    return R;
-  }
-  size_t N = D.Leaves.size();
-  std::vector<ForallResult> Slots(N);
-  for (ForallResult &S : Slots)
-    S.Holds = true;
-  // Smallest frontier index with a decisive event (counterexample or
-  // budget exhaustion). Subtrees past it cannot affect the answer.
-  std::atomic<size_t> MinDecided{N};
-
-  // Resolve terminal and unit leaves inline, in frontier order, charging
-  // each exactly as the serial engine would on pop.
-  for (size_t I = 0; I != N; ++I) {
-    const SearchLeaf &L = D.Leaves[I];
-    if (L.pending())
-      continue;
-    if (!Budget.charge()) {
-      Slots[I].Holds = false;
-      Slots[I].Exhausted = true;
-      casMin(MinDecided, I);
-      break;
-    }
-    if (L.State == Tribool::True)
-      continue;
-    Point Pt = L.B.center();
-    if (L.State == Tribool::False || !P.evalPoint(Pt)) {
-      Slots[I].Holds = false;
-      Slots[I].CounterExample = std::move(Pt);
-      casMin(MinDecided, I);
-      break;
-    }
-  }
-
-  std::vector<size_t> Pending;
-  for (size_t I = 0, Stop = MinDecided.load(); I != N && I < Stop; ++I)
-    if (D.Leaves[I].pending())
-      Pending.push_back(I);
-
-  Par.Pool->parallelFor(Pending.size(), [&](size_t J) {
-    size_t I = Pending[J];
-    if (I > MinDecided.load(std::memory_order_relaxed))
-      return;
-    auto Cancel = [&MinDecided, I] {
-      return I > MinDecided.load(std::memory_order_relaxed);
-    };
-    ForallResult R = forallSubtree(P, Hints, D.Leaves[I].B, Budget, Cancel);
-    if (!R.Holds && !Cancel()) {
-      Slots[I] = std::move(R);
-      casMin(MinDecided, I);
-    }
-  });
-
-  size_t Stop = MinDecided.load();
-  if (Stop < N)
-    return std::move(Slots[Stop]);
-  ForallResult Result;
-  Result.Holds = true;
-  return Result;
-}
-
-ExistsResult parallelExists(const Predicate &P, const SplitHints &Hints,
-                            const Box &B, uint64_t Salt, SolverBudget &Budget,
-                            const SolverParallel &Par) {
-  Decomposition D =
-      decomposeSearch(P, Hints, B, ExploreOrder::Salted, Salt,
-                      Par.targetTasks(), Par.SequentialCutoffVolume,
-                      Tribool::True, Budget);
-  if (D.Exhausted) {
-    ExistsResult R;
-    R.Exhausted = true;
-    return R;
-  }
-  size_t N = D.Leaves.size();
-  std::vector<ExistsResult> Slots(N);
-  std::atomic<size_t> MinDecided{N};
-
-  for (size_t I = 0; I != N; ++I) {
-    const SearchLeaf &L = D.Leaves[I];
-    if (L.pending())
-      continue;
-    if (!Budget.charge()) {
-      Slots[I].Exhausted = true;
-      casMin(MinDecided, I);
-      break;
-    }
-    if (L.State == Tribool::False)
-      continue;
-    Point Pt = L.B.center();
-    if (L.State == Tribool::True || P.evalPoint(Pt)) {
-      Slots[I].Witness = std::move(Pt);
-      casMin(MinDecided, I);
-      break;
-    }
-  }
-
-  std::vector<size_t> Pending;
-  for (size_t I = 0, Stop = MinDecided.load(); I != N && I < Stop; ++I)
-    if (D.Leaves[I].pending())
-      Pending.push_back(I);
-
-  Par.Pool->parallelFor(Pending.size(), [&](size_t J) {
-    size_t I = Pending[J];
-    if (I > MinDecided.load(std::memory_order_relaxed))
-      return;
-    auto Cancel = [&MinDecided, I] {
-      return I > MinDecided.load(std::memory_order_relaxed);
-    };
-    ExistsResult R = existsSubtree(P, Hints, D.Leaves[I].B, D.Leaves[I].Code,
-                                   Salt, Budget, Cancel);
-    if ((R.Witness || R.Exhausted) && !Cancel()) {
-      Slots[I] = std::move(R);
-      casMin(MinDecided, I);
-    }
-  });
-
-  size_t Stop = MinDecided.load();
-  if (Stop < N)
-    return std::move(Slots[Stop]);
-  return ExistsResult{};
-}
-
-ExistsResult findWitnessImpl(const Predicate &P, const Box &B, uint64_t Salt,
-                             SolverBudget &Budget, const SolverParallel &Par) {
-  if (B.isEmpty())
-    return ExistsResult{};
-
-  SplitHints Hints;
-  P.splitHints(Hints);
-  normalizeSplitHints(Hints);
-
-  if (!Par.worthParallelizing(B))
-    return existsSubtree(P, Hints, B, rootCode(Salt), Salt, Budget,
-                         NoCancel{});
-  return parallelExists(P, Hints, B, Salt, Budget, Par);
-}
-
 } // namespace
 
 ForallResult anosy::checkForall(const Predicate &P, const Box &B,
-                                SolverBudget &Budget,
-                                const SolverParallel &Par) {
-  if (B.isEmpty()) {
-    ForallResult Result;
-    Result.Holds = true;
+                                SolverBudget &Budget) {
+  ForallResult Result;
+  Result.Holds = true;
+  if (B.isEmpty())
     return Result;
-  }
 
   SplitHints Hints;
   P.splitHints(Hints);
   normalizeSplitHints(Hints);
 
-  if (!Par.worthParallelizing(B))
-    return forallSubtree(P, Hints, B, Budget, NoCancel{});
-  return parallelForall(P, Hints, B, Budget, Par);
+  std::vector<Box> Stack;
+  Stack.push_back(B);
+  while (!Stack.empty()) {
+    if (!Budget.charge()) {
+      Result.Exhausted = true;
+      Result.Holds = false;
+      return Result;
+    }
+    Box Cur = std::move(Stack.back());
+    Stack.pop_back();
+
+    Tribool T = P.evalBox(Cur);
+    if (T == Tribool::True)
+      continue;
+    if (T == Tribool::False) {
+      // No point of Cur satisfies P; its center is a counterexample.
+      Result.Holds = false;
+      Result.CounterExample = Cur.center();
+      return Result;
+    }
+    if (Cur.isUnit()) {
+      Point Pt = Cur.center();
+      if (!P.evalPoint(Pt)) {
+        Result.Holds = false;
+        Result.CounterExample = std::move(Pt);
+        return Result;
+      }
+      continue;
+    }
+    auto [Left, Right] = splitWithHints(Cur, Hints);
+    Stack.push_back(std::move(Left));
+    Stack.push_back(std::move(Right));
+  }
+  return Result;
 }
 
 ExistsResult anosy::findWitness(const Predicate &P, const Box &B,
-                                SolverBudget &Budget,
-                                const SolverParallel &Par) {
-  return findWitnessImpl(P, B, /*Salt=*/0, Budget, Par);
+                                SolverBudget &Budget) {
+  return findWitnessImpl(P, B, /*Salt=*/0, Budget);
 }
 
 ExistsResult anosy::findWitnessDiverse(const Predicate &P, const Box &B,
-                                       uint64_t SeedSalt, SolverBudget &Budget,
-                                       const SolverParallel &Par) {
-  return findWitnessImpl(P, B, SeedSalt == 0 ? 1 : SeedSalt, Budget, Par);
+                                       uint64_t SeedSalt,
+                                       SolverBudget &Budget) {
+  return findWitnessImpl(P, B, SeedSalt == 0 ? 1 : SeedSalt, Budget);
 }

@@ -18,11 +18,8 @@
 /// verification) can bound total work; exhausting the budget is reported
 /// explicitly, never converted into a wrong answer.
 ///
-/// Entry points optionally run the search in parallel (SolverParallel):
-/// the box is decomposed into DFS-ordered subboxes which are searched as
-/// pool tasks. Results are bit-identical to the serial engine for any
-/// thread count as long as the budget does not run out mid-search (see
-/// DESIGN.md "Parallel execution").
+/// Every search is serial, so a solver call's result and node count are a
+/// pure function of its inputs (DESIGN.md §5 "Concurrency").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +28,6 @@
 
 #include "solver/Predicate.h"
 #include "support/FaultInjection.h"
-#include "support/ThreadPool.h"
 
 #include <atomic>
 #include <chrono>
@@ -43,10 +39,10 @@ namespace anosy {
 /// Work budget shared across solver calls: split-node counts unified with
 /// an optional monotonic wall-clock deadline and an optional *parent*
 /// budget (the per-session cumulative cap of DESIGN.md §6). Charging is
-/// thread-safe so concurrent subtree searches can share one budget: the
-/// counter saturates at the limit instead of wrapping, so an exhausted
-/// budget can never flip back to "not exhausted" no matter how many
-/// callers race on it.
+/// thread-safe because the daemon watchdog expires budgets from another
+/// thread: the counter saturates at the limit instead of wrapping, so an
+/// exhausted budget can never flip back to "not exhausted" no matter how
+/// many callers race on it.
 ///
 /// The deadline is checked at coarse granularity — only on charges that
 /// cross a DeadlineCheckNodes boundary — so the clock syscall stays off
@@ -153,45 +149,6 @@ struct SolverBudget {
   }
 };
 
-/// How (and whether) a solver call may parallelize. Default-constructed,
-/// it selects the exact legacy serial code path. The pool is borrowed, not
-/// owned; passing a 1-thread pool is equivalent to no pool.
-struct SolverParallel {
-  ThreadPool *Pool = nullptr;
-
-  /// Subboxes at most this many points are not decomposed further; they
-  /// run inside one task. Keeps per-task overhead amortized.
-  uint64_t SequentialCutoffVolume = 4096;
-
-  /// Decomposition target: aim for about this many tasks per pool thread,
-  /// so work stealing can balance uneven subtrees.
-  unsigned TasksPerThread = 16;
-
-  /// Granularity gate: search trees rooted at boxes of at most this many
-  /// points run serially even when a pool is available — they finish
-  /// before the decomposition + task-spawn overhead pays for itself
-  /// (BENCH_parallel.json pins the break-even). Serial and parallel
-  /// searches are bit-identical, so the gate can only change wall time.
-  uint64_t MinParallelVolume = 1u << 20;
-
-  bool enabled() const { return Pool != nullptr && Pool->threadCount() > 1; }
-
-  /// Whether a search rooted at \p B should be decomposed into pool
-  /// tasks: a usable pool *and* a root big enough to amortize spawning.
-  bool worthParallelizing(const Box &B) const {
-    if (!enabled())
-      return false;
-    const int64_t Min = MinParallelVolume > uint64_t(INT64_MAX)
-                            ? INT64_MAX
-                            : int64_t(MinParallelVolume);
-    return B.volume() > Min;
-  }
-
-  size_t targetTasks() const {
-    return enabled() ? size_t(Pool->threadCount()) * TasksPerThread : 1;
-  }
-};
-
 /// Outcome of a ∀-check.
 struct ForallResult {
   /// True when every point of the box satisfies the predicate. Meaningless
@@ -205,8 +162,7 @@ struct ForallResult {
 
 /// Decides ∀x ∈ B. P(x). \p B may be empty (vacuously true).
 ForallResult checkForall(const Predicate &P, const Box &B,
-                         SolverBudget &Budget,
-                         const SolverParallel &Par = {});
+                         SolverBudget &Budget);
 
 /// Outcome of an ∃-search.
 struct ExistsResult {
@@ -217,17 +173,14 @@ struct ExistsResult {
 
 /// Decides ∃x ∈ B. P(x) and produces a witness. \p B may be empty.
 ExistsResult findWitness(const Predicate &P, const Box &B,
-                         SolverBudget &Budget,
-                         const SolverParallel &Par = {});
+                         SolverBudget &Budget);
 
 /// Like findWitness but explores subboxes in an order derived from
 /// \p SeedSalt, yielding diverse witnesses across calls — the restart
 /// mechanism of the box grower. The order is a pure function of the
-/// subbox's position in the split tree and the salt, so it is identical
-/// for serial and parallel searches.
+/// subbox's position in the split tree and the salt.
 ExistsResult findWitnessDiverse(const Predicate &P, const Box &B,
-                                uint64_t SeedSalt, SolverBudget &Budget,
-                                const SolverParallel &Par = {});
+                                uint64_t SeedSalt, SolverBudget &Budget);
 
 } // namespace anosy
 

@@ -2,24 +2,24 @@
 
 #include "solver/ModelCounter.h"
 
-#include "solver/ParallelBnB.h"
-
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
 
 using namespace anosy;
-using namespace anosy::bnb;
 
-namespace {
-
-/// Counts one subtree with the legacy serial loop.
-CountResult countSubtree(const Predicate &P, const SplitHints &Hints,
-                         Box Root, SolverBudget &Budget) {
+CountResult anosy::countSat(const Predicate &P, const Box &B,
+                            SolverBudget &Budget) {
   CountResult Result;
+  if (B.isEmpty())
+    return Result;
+
+  SplitHints Hints;
+  P.splitHints(Hints);
+  normalizeSplitHints(Hints);
+
   std::vector<Box> Stack;
-  Stack.push_back(std::move(Root));
+  Stack.push_back(B);
   while (!Stack.empty()) {
     if (!Budget.charge()) {
       Result.Exhausted = true;
@@ -47,77 +47,9 @@ CountResult countSubtree(const Predicate &P, const SplitHints &Hints,
   return Result;
 }
 
-CountResult parallelCount(const Predicate &P, const SplitHints &Hints,
-                          const Box &B, SolverBudget &Budget,
-                          const SolverParallel &Par) {
-  Decomposition D = decomposeSearch(P, Hints, B, ExploreOrder::SecondHalfFirst,
-                                    /*Salt=*/0, Par.targetTasks(),
-                                    Par.SequentialCutoffVolume,
-                                    Tribool::Unknown, Budget);
-  CountResult Result;
-  if (D.Exhausted) {
-    Result.Exhausted = true;
-    return Result;
-  }
-  size_t N = D.Leaves.size();
-  std::vector<CountResult> Slots(N);
-  std::atomic<bool> Exhausted{false};
-
-  // Terminal and unit leaves resolve inline (charged like a serial pop);
-  // pending subtrees count as pool tasks. Disjointness of the frontier
-  // makes the per-leaf counts independent; summing the slots in frontier
-  // order reproduces the serial total exactly (BigCount addition with
-  // sticky saturation is associative).
-  std::vector<size_t> Pending;
-  for (size_t I = 0; I != N; ++I) {
-    const SearchLeaf &L = D.Leaves[I];
-    if (L.pending()) {
-      Pending.push_back(I);
-      continue;
-    }
-    if (!Budget.charge()) {
-      Exhausted.store(true);
-      break;
-    }
-    if (L.State == Tribool::True)
-      Slots[I].Count = L.B.volume();
-    else if (L.State == Tribool::Unknown && P.evalPoint(L.B.center()))
-      Slots[I].Count = BigCount(1);
-  }
-
-  Par.Pool->parallelFor(Pending.size(), [&](size_t J) {
-    size_t I = Pending[J];
-    Slots[I] = countSubtree(P, Hints, D.Leaves[I].B, Budget);
-    if (Slots[I].Exhausted)
-      Exhausted.store(true);
-  });
-
-  for (size_t I = 0; I != N; ++I)
-    Result.Count = Result.Count + Slots[I].Count;
-  Result.Exhausted = Exhausted.load();
-  return Result;
-}
-
-} // namespace
-
-CountResult anosy::countSat(const Predicate &P, const Box &B,
-                            SolverBudget &Budget, const SolverParallel &Par) {
-  if (B.isEmpty())
-    return CountResult{};
-
-  SplitHints Hints;
-  P.splitHints(Hints);
-  normalizeSplitHints(Hints);
-
-  if (!Par.worthParallelizing(B))
-    return countSubtree(P, Hints, B, Budget);
-  return parallelCount(P, Hints, B, Budget, Par);
-}
-
-BigCount anosy::countSatExact(const Predicate &P, const Box &B,
-                              const SolverParallel &Par) {
+BigCount anosy::countSatExact(const Predicate &P, const Box &B) {
   SolverBudget Budget;
-  CountResult R = countSat(P, B, Budget, Par);
+  CountResult R = countSat(P, B, Budget);
   if (R.Exhausted) {
     // A partial count is a *wrong* count; never return one silently.
     std::fprintf(stderr,

@@ -28,15 +28,11 @@ struct CountResult {
   bool Exhausted = false; ///< Budget ran out; Count is a partial lower bound.
 };
 
-/// Counts the points of \p B satisfying \p P exactly. The parallel engine
-/// counts disjoint subboxes concurrently and reduces in a deterministic
-/// order, so the count is identical for every thread count.
-CountResult countSat(const Predicate &P, const Box &B, SolverBudget &Budget,
-                     const SolverParallel &Par = {});
+/// Counts the points of \p B satisfying \p P exactly.
+CountResult countSat(const Predicate &P, const Box &B, SolverBudget &Budget);
 
 /// Convenience: counts with a fresh default budget; asserts completion.
-BigCount countSatExact(const Predicate &P, const Box &B,
-                       const SolverParallel &Par = {});
+BigCount countSatExact(const Predicate &P, const Box &B);
 
 } // namespace anosy
 

@@ -29,8 +29,7 @@ namespace {
 /// slab is antitone in its size).
 Interval extendSide(const Predicate &Valid, const Box &Cur, size_t D,
                     bool Upper, const Interval &Limit, int64_t MaxStep,
-                    SolverBudget &Budget, bool &Exhausted,
-                    const SolverParallel &Par) {
+                    SolverBudget &Budget, bool &Exhausted) {
   const Interval &CurD = Cur.dim(D);
   int64_t Room = Upper ? Limit.Hi - CurD.Hi : CurD.Lo - Limit.Lo;
   if (Room <= 0)
@@ -41,7 +40,7 @@ Interval extendSide(const Predicate &Valid, const Box &Cur, size_t D,
   auto SlabValid = [&](int64_t Steps) {
     Interval SlabD = Upper ? Interval{CurD.Hi + 1, CurD.Hi + Steps}
                            : Interval{CurD.Lo - Steps, CurD.Lo - 1};
-    ForallResult R = checkForall(Valid, Cur.withDim(D, SlabD), Budget, Par);
+    ForallResult R = checkForall(Valid, Cur.withDim(D, SlabD), Budget);
     if (R.Exhausted)
       Exhausted = true;
     return R.Holds;
@@ -76,7 +75,7 @@ Interval extendSide(const Predicate &Valid, const Box &Cur, size_t D,
 /// greedy per-dimension extension.
 Box growFrom(const Predicate &Valid, const Point &SeedPoint,
              const Box &Bounds, bool Capped, SolverBudget &Budget,
-             bool &Exhausted, const SolverParallel &Par) {
+             bool &Exhausted) {
   Box Cur = Box::point(SeedPoint);
   size_t N = Cur.arity();
   bool Changed = true;
@@ -91,7 +90,7 @@ Box growFrom(const Predicate &Valid, const Point &SeedPoint,
       }
       for (bool Upper : {true, false}) {
         Interval NewD = extendSide(Valid, Cur, D, Upper, Bounds.dim(D),
-                                   MaxStep, Budget, Exhausted, Par);
+                                   MaxStep, Budget, Exhausted);
         if (NewD != Cur.dim(D)) {
           Cur = Cur.withDim(D, NewD);
           Changed = true;
@@ -137,75 +136,36 @@ GrowResult anosy::growMaximalBox(const Predicate &Valid, const Predicate &Seed,
   unsigned Restarts = std::max(1u, Config.Restarts);
   bool Capped = Config.Objective != GrowObjective::Volume;
 
-  // Per-restart outcome, filled either by the serial loop or by pool
-  // tasks. Restarts are independent searches, so each slot is a pure
-  // function of (predicates, bounds, seed + R); combining the slots in
-  // restart order below reproduces the serial loop exactly.
-  struct RestartSlot {
-    ExistsResult Witness;
-    Box Grown;
-    bool GrowExhausted = false;
-  };
-  std::vector<RestartSlot> Slots(Restarts);
-
-  auto RunRestart = [&](unsigned R, bool HaveWitness) {
-    RestartSlot &S = Slots[R];
+  std::vector<Box> Candidates;
+  for (unsigned R = 0; R != Restarts; ++R) {
     // Fault-injection site: an abandoned restart reports as an exhausted
     // search, so the degradation machinery upstream (retry, then the
     // always-sound ⊥/⊤ fallback) handles it like any spent budget.
     if (faults::armed() && faults::shouldFail(FaultSite::GrowerRestart)) {
-      S.Witness.Exhausted = true;
-      return;
-    }
-    if (!HaveWitness)
-      S.Witness =
-          findWitnessDiverse(Seed, Bounds, Config.Seed + R, Budget, Config.Par);
-    if (S.Witness.Exhausted || !S.Witness.Witness)
-      return;
-    S.Grown = growFrom(Valid, *S.Witness.Witness, Bounds, Capped, Budget,
-                       S.GrowExhausted, Config.Par);
-  };
-
-  if (!Config.Par.enabled()) {
-    for (unsigned R = 0; R != Restarts; ++R) {
-      RunRestart(R, false);
-      // Stop exactly where the combining loop below will stop; later
-      // slots stay empty, as in the legacy serial grower.
-      if (Slots[R].Witness.Exhausted || !Slots[R].Witness.Witness ||
-          Slots[R].GrowExhausted)
-        break;
-    }
-  } else {
-    // Probe restart 0 first: when the seed region is empty, every restart
-    // would discover that with a full exhaustive search — the serial loop
-    // pays for one such search, not Restarts of them.
-    Slots[0].Witness =
-        findWitnessDiverse(Seed, Bounds, Config.Seed + 0, Budget, Config.Par);
-    if (!Slots[0].Witness.Exhausted && Slots[0].Witness.Witness)
-      Config.Par.Pool->parallelFor(
-          Restarts, [&](size_t R) { RunRestart(unsigned(R), R == 0); });
-  }
-
-  std::vector<Box> Candidates;
-  for (unsigned R = 0; R != Restarts; ++R) {
-    RestartSlot &S = Slots[R];
-    if (S.Witness.Exhausted) {
       Result.Exhausted = true;
       break;
     }
-    if (!S.Witness.Witness)
+    ExistsResult W = findWitnessDiverse(Seed, Bounds, Config.Seed + R, Budget);
+    if (W.Exhausted) {
+      Result.Exhausted = true;
+      break;
+    }
+    if (!W.Witness)
       break; // The seed region is empty; later restarts won't differ.
-    if (S.GrowExhausted) {
+    bool GrowExhausted = false;
+    Box Grown = growFrom(Valid, *W.Witness, Bounds, Capped, Budget,
+                         GrowExhausted);
+    if (GrowExhausted) {
       Result.Exhausted = true;
       break;
     }
     // Skip duplicates of earlier restarts.
     bool Duplicate = false;
     for (const Box &C : Candidates)
-      if (C == S.Grown)
+      if (C == Grown)
         Duplicate = true;
     if (!Duplicate)
-      Candidates.push_back(std::move(S.Grown));
+      Candidates.push_back(std::move(Grown));
   }
   if (Candidates.empty())
     return Result;
@@ -240,14 +200,13 @@ GrowResult anosy::growMaximalBox(const Predicate &Valid, const Predicate &Seed,
 }
 
 BoundResult anosy::tightBoundingBox(const Predicate &P, const Box &Bounds,
-                                    SolverBudget &Budget,
-                                    const SolverParallel &Par) {
+                                    SolverBudget &Budget) {
   BoundResult Result;
   Result.Bounding = Box::bottom(Bounds.isEmpty() ? 1 : Bounds.arity());
   if (Bounds.isEmpty())
     return Result;
 
-  ExistsResult First = findWitness(P, Bounds, Budget, Par);
+  ExistsResult First = findWitness(P, Bounds, Budget);
   if (First.Exhausted) {
     Result.Exhausted = true;
     return Result;
@@ -268,7 +227,7 @@ BoundResult anosy::tightBoundingBox(const Predicate &P, const Box &Bounds,
     while (Lo < Hi) {
       int64_t Mid = Lo + (Hi - Lo) / 2;
       ExistsResult E =
-          findWitness(P, Bounds.withDim(D, {Full.Lo, Mid}), Budget, Par);
+          findWitness(P, Bounds.withDim(D, {Full.Lo, Mid}), Budget);
       if (E.Exhausted) {
         Result.Exhausted = true;
         return Result;
@@ -286,7 +245,7 @@ BoundResult anosy::tightBoundingBox(const Predicate &P, const Box &Bounds,
     while (Lo < Hi) {
       int64_t Mid = Lo + (Hi - Lo + 1) / 2;
       ExistsResult E =
-          findWitness(P, Bounds.withDim(D, {Mid, Full.Hi}), Budget, Par);
+          findWitness(P, Bounds.withDim(D, {Mid, Full.Hi}), Budget);
       if (E.Exhausted) {
         Result.Exhausted = true;
         return Result;

@@ -24,7 +24,6 @@
 #ifndef ANOSY_SOLVER_PREDICATE_H
 #define ANOSY_SOLVER_PREDICATE_H
 
-#include "compile/BoxBatch.h"
 #include "compile/Tape.h"
 #include "domains/Box.h"
 #include "domains/PowerBox.h"
@@ -46,12 +45,6 @@ public:
   /// Three-valued truth over the non-empty box \p B: True means every point
   /// of \p B satisfies the predicate, False means none does.
   virtual Tribool evalBox(const Box &B) const = 0;
-
-  /// Batch form of evalBox: one Tribool per lane of \p Batch into \p Out
-  /// (length Batch.count()). Lane I equals evalBox(Batch.box(I)) exactly.
-  /// The base implementation materializes each lane; query predicates
-  /// override it with the compiled tape's batch interpreter.
-  virtual void evalBoxBatch(const BoxBatch &Batch, Tribool *Out) const;
 
   /// Concrete truth at \p P.
   virtual bool evalPoint(const Point &P) const = 0;

@@ -28,9 +28,9 @@
 /// What a fault *means* is decided at each site — always a fault the
 /// production code already tolerates (a budget that refuses a charge, a
 /// grower restart that is abandoned, a verifier obligation left undecided,
-/// a torn knowledge-base write, a bit-flipped read, a pool task demoted to
-/// inline execution). Injection never introduces new failure behavior; it
-/// forces the existing degraded paths to run.
+/// a torn knowledge-base write, a bit-flipped read). Injection never
+/// introduces new failure behavior; it forces the existing degraded paths
+/// to run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,7 +61,10 @@ enum class FaultSite : unsigned {
   /// A knowledge-base write "crashes" mid-write: the temp file is
   /// truncated and never renamed over the destination.
   KbWrite,
-  /// A thread-pool task is demoted to inline execution on the spawner.
+  /// Reserved: no production code consults this site (registration has
+  /// no task pool), so arming it injects nothing. It keeps its name and
+  /// slot so fault-spec strings and the seeded per-site sweeps
+  /// (`anosy_gen faults`, CorpusSoak) stay stable.
   PoolTask,
   /// The daemon front door fails to accept a request (transient listener
   /// fault); the caller receives an explicit Overloaded response and

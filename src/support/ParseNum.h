@@ -8,7 +8,7 @@
 /// Checked full-token integer parsing for command-line flags. Unlike
 /// atoi/strtoll, these reject empty tokens, trailing garbage, and
 /// out-of-range values instead of silently returning 0 or saturating —
-/// `--threads=abc` and `--min-size=9999999999999999999999` are errors,
+/// `--retry=abc` and `--min-size=9999999999999999999999` are errors,
 /// not surprising configurations. Header-only and allocation-free.
 ///
 //===----------------------------------------------------------------------===//

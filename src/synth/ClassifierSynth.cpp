@@ -10,24 +10,6 @@
 
 using namespace anosy;
 
-namespace {
-
-/// Runs Fn(0..N-1) on the pool when parallelism is enabled, serially
-/// otherwise. Per-output work is independent; callers write into
-/// index-addressed slots and combine in output order, so results are
-/// identical either way.
-void forEachOutput(const SolverParallel &Par, size_t N,
-                   const std::function<void(size_t)> &Fn) {
-  if (Par.enabled()) {
-    Par.Pool->parallelFor(N, Fn);
-    return;
-  }
-  for (size_t I = 0; I != N; ++I)
-    Fn(I);
-}
-
-} // namespace
-
 Result<ClassifierSynthesizer>
 ClassifierSynthesizer::create(const Schema &S, ExprRef Body,
                               SynthOptions Options, unsigned MaxOutputs) {
@@ -54,29 +36,25 @@ ClassifierSynthesizer::create(const Schema &S, ExprRef Body,
                      std::to_string(MaxOutputs) +
                      ") are supported (§5.1)");
 
-  // Keep the feasible outputs: values some secret actually produces. The
-  // per-value ∃-searches are independent, so they run as pool tasks;
-  // scanning the slots in value order preserves the serial result.
+  // Keep the feasible outputs: values some secret actually produces.
   size_t NumVals = static_cast<size_t>(Range.Hi - Range.Lo + 1);
-  std::vector<ExistsResult> Found(NumVals);
   SolverBudget Budget(Options.MaxSolverNodes);
   Budget.Parent = Options.SessionBudget;
   if (Options.DeadlineMs != 0)
     Budget.setDeadlineAfterMs(Options.DeadlineMs);
-  forEachOutput(Options.Par, NumVals, [&](size_t I) {
-    PredicateRef Is =
-        exprPredicate(eq(Body, intConst(Range.Lo + static_cast<int64_t>(I))));
-    Found[I] = findWitness(*Is, Top, Budget, Options.Par);
-  });
-
   std::vector<int64_t> Outputs;
+  bool Exhausted = false;
   for (size_t I = 0; I != NumVals; ++I) {
-    if (Found[I].Exhausted)
-      return Error(ErrorCode::BudgetExhausted,
-                   "solver budget exhausted enumerating classifier outputs");
-    if (Found[I].Witness)
-      Outputs.push_back(Range.Lo + static_cast<int64_t>(I));
+    int64_t Value = Range.Lo + static_cast<int64_t>(I);
+    ExistsResult Found =
+        findWitness(*exprPredicate(eq(Body, intConst(Value))), Top, Budget);
+    Exhausted |= Found.Exhausted;
+    if (Found.Witness)
+      Outputs.push_back(Value);
   }
+  if (Exhausted)
+    return Error(ErrorCode::BudgetExhausted,
+                 "solver budget exhausted enumerating classifier outputs");
   assert(!Outputs.empty() && "range was non-empty");
   return ClassifierSynthesizer(S, std::move(Body), Options,
                                std::move(Outputs));
@@ -90,67 +68,56 @@ int64_t ClassifierSynthesizer::run(const Point &Secret) const {
   return evalInt(*Body, Secret);
 }
 
-Result<std::vector<OutputIndSet<Box>>>
-ClassifierSynthesizer::synthesizeInterval(ApproxKind Kind,
-                                          SynthStats *Stats) const {
-  size_t N = Outputs.size();
-  std::vector<std::optional<Result<IndSets<Box>>>> Slots(N);
-  std::vector<SynthStats> Local(N);
-  forEachOutput(Options.Par, N, [&](size_t I) {
-    auto Sy = Synthesizer::create(S, outputQuery(Outputs[I]), Options);
-    if (!Sy) {
-      Slots[I].emplace(Sy.error());
-      return;
+template <typename D, typename SynthFn>
+Result<std::vector<OutputIndSet<D>>>
+ClassifierSynthesizer::synthesizeOutputs(SynthStats *Stats,
+                                         SynthFn Synth) const {
+  // Every output is synthesized (and charged to the session budget)
+  // before the first failure in output order is reported; Stats sums the
+  // outputs before that failure.
+  std::optional<Error> FirstError;
+  std::vector<OutputIndSet<D>> Sets;
+  for (int64_t Value : Outputs) {
+    SynthStats Local;
+    auto Sy = Synthesizer::create(S, outputQuery(Value), Options);
+    Result<IndSets<D>> Ind = Sy ? Synth(*Sy, Stats ? &Local : nullptr)
+                                : Result<IndSets<D>>(Sy.error());
+    if (FirstError)
+      continue;
+    if (!Ind) {
+      FirstError = Ind.error();
+      continue;
     }
-    Slots[I].emplace(Sy->synthesizeInterval(Kind, Stats ? &Local[I] : nullptr));
-  });
-
-  std::vector<OutputIndSet<Box>> Sets;
-  for (size_t I = 0; I != N; ++I) {
-    // First failure in output order wins, as in the serial loop.
-    if (!*Slots[I])
-      return Slots[I]->error();
     if (Stats) {
-      Stats->SolverNodes += Local[I].SolverNodes;
-      Stats->BoxesSynthesized += Local[I].BoxesSynthesized;
-      Stats->Seconds += Local[I].Seconds;
-      Stats->Exhausted |= Local[I].Exhausted;
+      Stats->SolverNodes += Local.SolverNodes;
+      Stats->BoxesSynthesized += Local.BoxesSynthesized;
+      Stats->Seconds += Local.Seconds;
+      Stats->Exhausted |= Local.Exhausted;
     }
     // Only the True half matters: the False set of "f == v" is the union
     // of the other outputs' sets, which are synthesized in their own
     // right.
-    Sets.push_back({Outputs[I], (*Slots[I])->TrueSet});
+    Sets.push_back({Value, Ind->TrueSet});
   }
+  if (FirstError)
+    return *FirstError;
   return Sets;
+}
+
+Result<std::vector<OutputIndSet<Box>>>
+ClassifierSynthesizer::synthesizeInterval(ApproxKind Kind,
+                                          SynthStats *Stats) const {
+  return synthesizeOutputs<Box>(
+      Stats, [Kind](const Synthesizer &Sy, SynthStats *Local) {
+        return Sy.synthesizeInterval(Kind, Local);
+      });
 }
 
 Result<std::vector<OutputIndSet<PowerBox>>>
 ClassifierSynthesizer::synthesizePowerset(ApproxKind Kind, unsigned K,
                                           SynthStats *Stats) const {
-  size_t N = Outputs.size();
-  std::vector<std::optional<Result<IndSets<PowerBox>>>> Slots(N);
-  std::vector<SynthStats> Local(N);
-  forEachOutput(Options.Par, N, [&](size_t I) {
-    auto Sy = Synthesizer::create(S, outputQuery(Outputs[I]), Options);
-    if (!Sy) {
-      Slots[I].emplace(Sy.error());
-      return;
-    }
-    Slots[I].emplace(
-        Sy->synthesizePowerset(Kind, K, Stats ? &Local[I] : nullptr));
-  });
-
-  std::vector<OutputIndSet<PowerBox>> Sets;
-  for (size_t I = 0; I != N; ++I) {
-    if (!*Slots[I])
-      return Slots[I]->error();
-    if (Stats) {
-      Stats->SolverNodes += Local[I].SolverNodes;
-      Stats->BoxesSynthesized += Local[I].BoxesSynthesized;
-      Stats->Seconds += Local[I].Seconds;
-      Stats->Exhausted |= Local[I].Exhausted;
-    }
-    Sets.push_back({Outputs[I], (*Slots[I])->TrueSet});
-  }
-  return Sets;
+  return synthesizeOutputs<PowerBox>(
+      Stats, [Kind, K](const Synthesizer &Sy, SynthStats *Local) {
+        return Sy.synthesizePowerset(Kind, K, Local);
+      });
 }

@@ -66,6 +66,12 @@ private:
       : S(S), Body(std::move(Body)), Options(Options),
         Outputs(std::move(Outputs)) {}
 
+  /// Runs \p Synth (one domain's synthesis entry point) on every output's
+  /// query, in output order.
+  template <typename D, typename SynthFn>
+  Result<std::vector<OutputIndSet<D>>> synthesizeOutputs(SynthStats *Stats,
+                                                         SynthFn Synth) const;
+
   Schema S;
   ExprRef Body;
   SynthOptions Options;

@@ -85,7 +85,6 @@ Result<Box> Synthesizer::synthUnderBox(const ResponseSearch &Search,
   Config.Objective = Options.Objective;
   Config.Restarts = Options.Restarts;
   Config.Seed = Options.Seed;
-  Config.Par = Options.Par;
   GrowResult R =
       growMaximalBox(*Search.P, *Search.P, Search.Region, Config, Budget);
   if (R.Exhausted) {
@@ -138,10 +137,10 @@ Synthesizer::synthesizeInterval(ApproxKind Kind, SynthStats *Stats) const {
     // A seeded-empty branch's exact bounding box is ⊥; no solver call.
     BoundResult T{Box::bottom(S.arity()), false};
     if (!ST.EmptyBranch)
-      T = tightBoundingBox(*ST.P, ST.Region, Budget, Options.Par);
+      T = tightBoundingBox(*ST.P, ST.Region, Budget);
     BoundResult F{Box::bottom(S.arity()), false};
     if (!T.Exhausted && !SF.EmptyBranch)
-      F = tightBoundingBox(*SF.P, SF.Region, Budget, Options.Par);
+      F = tightBoundingBox(*SF.P, SF.Region, Budget);
     if (T.Exhausted || F.Exhausted) {
       if (!Options.KeepPartialOnExhaustion) {
         if (Stats) {
@@ -201,7 +200,6 @@ Result<PowerBox> Synthesizer::synthUnderPowerset(const ResponseSearch &Search,
     Config.Objective = Options.Objective;
     Config.Restarts = Options.Restarts;
     Config.Seed = Options.Seed + I * 7919;
-    Config.Par = Options.Par;
     GrowResult R = growMaximalBox(*Grow, *Grow, Search.Region, Config, Budget);
     if (R.Exhausted) {
       if (!Options.KeepPartialOnExhaustion)
@@ -229,8 +227,7 @@ Result<PowerBox> Synthesizer::synthOverPowerset(const ResponseSearch &Search,
   const PredicateRef &SatSet = Search.P;
   // Algorithm 1, over arm: start from the exact bounding box, then carve
   // out maximal all-invalid boxes to sharpen the over-approximation.
-  BoundResult First =
-      tightBoundingBox(*SatSet, Search.Region, Budget, Options.Par);
+  BoundResult First = tightBoundingBox(*SatSet, Search.Region, Budget);
   if (First.Exhausted) {
     if (!Options.KeepPartialOnExhaustion)
       return exhaustedError();
@@ -258,7 +255,6 @@ Result<PowerBox> Synthesizer::synthOverPowerset(const ResponseSearch &Search,
     Config.Objective = GrowObjective::Volume;
     Config.Restarts = Options.Restarts;
     Config.Seed = Options.Seed + I * 104729;
-    Config.Par = Options.Par;
     GrowResult R =
         growMaximalBox(*Grow, *Grow, First.Bounding, Config, Budget);
     if (R.Exhausted) {

@@ -45,10 +45,6 @@ struct SynthOptions {
   uint64_t Seed = 0xA905;
   /// Solver node budget per synthesis call.
   uint64_t MaxSolverNodes = 200'000'000;
-  /// Parallel execution of the underlying solver calls and grower
-  /// restarts. Synthesized domains are bit-identical to serial runs for
-  /// any thread count (see DESIGN.md "Parallel execution").
-  SolverParallel Par = {};
   /// Session-wide cumulative budget (node cap and/or wall-clock deadline)
   /// every per-call budget chains to. Borrowed, never owned; nullptr
   /// means the per-call budget stands alone.

@@ -42,7 +42,6 @@ class RefinementChecker {
 public:
   RefinementChecker(const Schema &S, ExprRef Query,
                     uint64_t MaxSolverNodes = 200'000'000,
-                    SolverParallel Par = {},
                     SolverBudget *SessionBudget = nullptr,
                     uint64_t DeadlineMs = 0);
 
@@ -72,7 +71,6 @@ private:
   ExprRef Query;
   Box Bounds;
   uint64_t MaxSolverNodes;
-  SolverParallel Par;
   SolverBudget *SessionBudget;
   uint64_t DeadlineMs;
   /// The query compiled once at construction (null = tree-walk); every

@@ -1,7 +1,7 @@
 //===- tests/compile/TapeDifferentialTest.cpp - Tape ≡ tree-walk ----------===//
 //
 // The acceptance property of the compiled solver hot path: for generated
-// queries and boxes, the tape interpreters produce *bit-identical*
+// queries and boxes, the tape interpreter produces *bit-identical*
 // Interval/Tribool results to the tree-walking evalRange/evalTribool.
 // Sweeps cover every ExprKind (the generator's grammar emits them all),
 // int64 saturation extremes, and unit boxes. Empty boxes are excluded by
@@ -107,34 +107,6 @@ TEST(TapeDifferentialTest, IntTapesMatchEvalRange) {
           << "term: " << E->str() << "\nbox: " << Bx.str()
           << "\ntape:\n" << T->str();
     }
-  }
-}
-
-TEST(TapeDifferentialTest, BatchMatchesTreeWalkAcrossLanes) {
-  const size_t Queries = queryCount() / 4;
-  QueryGenConfig Config;
-  Config.Arity = 2;
-  QueryGen Gen(/*Seed=*/0xBA7Cull, Config);
-  Rng BoxRng(/*Seed=*/0x1A9E5ull);
-  TapeScratch S;
-  for (size_t Q = 0; Q != Queries; ++Q) {
-    ExprRef E = Gen.genQuery();
-    TapeRef T = Tape::compile(*E);
-    ASSERT_NE(T, nullptr) << E->str();
-    // Lane counts straddling typical vector widths, including 1.
-    const size_t N = static_cast<size_t>(BoxRng.range(1, 19));
-    std::vector<Box> Boxes;
-    Boxes.reserve(N);
-    for (size_t I = 0; I != N; ++I)
-      Boxes.push_back(genBox(BoxRng, Config.Arity));
-    BoxBatch Batch;
-    Batch.assign(Boxes.data(), Boxes.size());
-    std::vector<Tribool> Out(N);
-    T->runBatch(Batch, S, Out.data());
-    for (size_t I = 0; I != N; ++I)
-      ASSERT_EQ(Out[I], evalTribool(*E, Boxes[I]))
-          << "query: " << E->str() << "\nlane " << I << ": "
-          << Boxes[I].str() << "\ntape:\n" << T->str();
   }
 }
 

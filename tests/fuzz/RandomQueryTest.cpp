@@ -163,47 +163,6 @@ TEST_P(RandomQueries, DowngradeSequencesStaySound) {
   }
 }
 
-TEST_P(RandomQueries, ParallelDecidersMatchSerial) {
-  // Differential oracle: the parallel engine is the serial engine. Same
-  // deterministic seeds as the other sweeps; a tiny cutoff volume forces
-  // the decomposition path even on this small space.
-  QueryGen Gen(GetParam() + 5000);
-  Schema S = smallSchema();
-  Box Top = Box::top(S);
-  ThreadPool Pool(3);
-  SolverParallel Par;
-  Par.Pool = &Pool;
-  Par.SequentialCutoffVolume = 1;
-  Par.TasksPerThread = 4;
-  for (int I = 0; I != 20; ++I) {
-    ExprRef Q = Gen.genQuery();
-    PredicateRef P = exprPredicate(Q);
-
-    SolverBudget CountSerial, CountPar;
-    CountResult CS = countSat(*P, Top, CountSerial);
-    CountResult CP = countSat(*P, Top, CountPar, Par);
-    EXPECT_EQ(CS.Count, CP.Count) << Q->str();
-    EXPECT_EQ(CS.Exhausted, CP.Exhausted) << Q->str();
-    EXPECT_EQ(CountSerial.used(), CountPar.used()) << Q->str();
-
-    SolverBudget FaSerial, FaPar;
-    ForallResult FS = checkForall(*P, Top, FaSerial);
-    ForallResult FP = checkForall(*P, Top, FaPar, Par);
-    EXPECT_EQ(FS.Holds, FP.Holds) << Q->str();
-    EXPECT_EQ(FS.CounterExample, FP.CounterExample) << Q->str();
-
-    SolverBudget ExSerial, ExPar;
-    EXPECT_EQ(findWitness(*P, Top, ExSerial).Witness,
-              findWitness(*P, Top, ExPar, Par).Witness)
-        << Q->str();
-
-    SolverBudget DvSerial, DvPar;
-    EXPECT_EQ(findWitnessDiverse(*P, Top, GetParam(), DvSerial).Witness,
-              findWitnessDiverse(*P, Top, GetParam(), DvPar, Par).Witness)
-        << Q->str();
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomQueries,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88,
                                            99, 110));

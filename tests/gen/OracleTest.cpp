@@ -13,10 +13,15 @@
 #include "expr/Parser.h"
 #include "gen/Corpus.h"
 #include "gen/ScenarioGen.h"
+#include "gen/TraceGen.h"
 #include "support/FaultInjection.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <cctype>
+#include <ostream>
+#include <string>
 
 using namespace anosy;
 
@@ -266,6 +271,24 @@ struct RegressionCase {
 
 class OracleRegression
     : public ::testing::TestWithParam<RegressionCase> {};
+
+/// Prints a case as a readable, build-stable name such as
+/// Location_Hostile_MinSize_m1_t3 (family, strategy, policy, module seed,
+/// trace seed). gtest_discover_tests names each case after its printed
+/// parameter, so without this the ctest names were byte dumps of the
+/// struct, uninitialised padding included, and changed between builds.
+void PrintTo(const RegressionCase &C, std::ostream *OS) {
+  auto Capitalized = [](std::string S) {
+    S[0] = static_cast<char>(std::toupper(static_cast<unsigned char>(S[0])));
+    return S;
+  };
+  const char *Policy = C.Policy == TracePolicy::Kind::Permissive ? "Permissive"
+                       : C.Policy == TracePolicy::Kind::MinSize  ? "MinSize"
+                                                                 : "MinEntropy";
+  *OS << Capitalized(scenarioFamilyName(C.Family)) << "_"
+      << Capitalized(attackerStrategyName(C.Strategy)) << "_" << Policy
+      << "_m" << C.ModuleSeed << "_t" << C.TraceSeed;
+}
 
 TEST_P(OracleRegression, ReplaysClean) {
   const RegressionCase &C = GetParam();

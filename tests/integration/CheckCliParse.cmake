@@ -24,18 +24,15 @@ endfunction()
 
 expect_parse_error("--k" --k abc)
 expect_parse_error("--k" --k 0)            # zero boxes is not a powerset
-expect_parse_error("--threads" --threads 1O)
-expect_parse_error("--threads" --threads=-2)
 expect_parse_error("--timeout-ms" --timeout-ms 10s)
 expect_parse_error("--max-session-nodes" --max-session-nodes 99999999999999999999)
 expect_parse_error("--retry" --retry x7)
 expect_parse_error("--min-size" --min-size 12x)
 expect_parse_error("--min-size" lint --min-size abc)
-expect_parse_error("--threads" lint --threads abc)
 
 # A good invocation still runs end to end (built-in module, no files).
 execute_process(
-  COMMAND ${ANOSY_CLI} --threads 2 --k 2
+  COMMAND ${ANOSY_CLI} --k 2
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)

@@ -3,7 +3,8 @@
 // The §8 cost contract (obs/Obs.h): instrumentation only *reads* what the
 // pipeline already computes. Synthesized artifacts, node counts, and
 // verification verdicts must be bit-identical with tracing off, with
-// tracing on, serial, and parallel — and with the runtime switch off
+// tracing on, and across repeated traced runs — and with the runtime
+// switch off
 // (the default) a full pipeline run must leave the global recorder and
 // registry completely untouched, which is the mechanism behind the ≤1%
 // disabled-overhead bound pinned in bench/BENCH_observability.json.
@@ -11,10 +12,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "benchlib/Problems.h"
+#include "core/AnosySession.h"
+#include "expr/Parser.h"
 #include "obs/Metrics.h"
 #include "obs/Obs.h"
 #include "obs/Trace.h"
-#include "support/ThreadPool.h"
 #include "synth/Synthesizer.h"
 #include "verify/RefinementChecker.h"
 
@@ -34,11 +36,8 @@ struct RunResult {
 };
 
 /// Synthesize + verify one problem's query at the interval domain.
-RunResult runPipeline(const BenchmarkProblem &P, ThreadPool *Pool) {
-  SynthOptions SOpt;
-  if (Pool != nullptr)
-    SOpt.Par.Pool = Pool;
-  auto Sy = Synthesizer::create(P.M.schema(), P.query().Body, SOpt);
+RunResult runPipeline(const BenchmarkProblem &P) {
+  auto Sy = Synthesizer::create(P.M.schema(), P.query().Body);
   EXPECT_TRUE(Sy.ok()) << Sy.error().str();
   SynthStats Stats;
   auto Sets = Sy->synthesizeInterval(ApproxKind::Under, &Stats);
@@ -48,8 +47,7 @@ RunResult runPipeline(const BenchmarkProblem &P, ThreadPool *Pool) {
   R.FalseSet = Sets->FalseSet.str();
   R.SolverNodes = Stats.SolverNodes;
   R.Boxes = Stats.BoxesSynthesized;
-  R.Valid = RefinementChecker(P.M.schema(), P.query().Body,
-                              SOpt.MaxSolverNodes, SOpt.Par)
+  R.Valid = RefinementChecker(P.M.schema(), P.query().Body)
                 .checkIndSets(*Sets, ApproxKind::Under)
                 .valid();
   return R;
@@ -70,7 +68,7 @@ TEST(ObsPipeline, DisabledRunTouchesNoGlobalState) {
   obs::TraceRecorder::global().clear();
   std::string MetricsBefore = obs::MetricsRegistry::global().renderPrometheus();
 
-  RunResult R = runPipeline(nearbyProblem(), nullptr);
+  RunResult R = runPipeline(nearbyProblem());
   EXPECT_TRUE(R.Valid);
 
   EXPECT_EQ(obs::TraceRecorder::global().eventCount(), 0u);
@@ -85,13 +83,13 @@ TEST(ObsPipeline, ArtifactsBitIdenticalTracingOnAndOff) {
     RunResult Off;
     {
       obs::ScopedEnable Disable(false);
-      Off = runPipeline(P, nullptr);
+      Off = runPipeline(P);
     }
     RunResult On;
     {
       obs::ScopedEnable Enable(true);
       obs::TraceRecorder::global().clear();
-      On = runPipeline(P, nullptr);
+      On = runPipeline(P);
       // Tracing observed the run: spans exist — and did not perturb it.
       EXPECT_GT(obs::TraceRecorder::global().eventCount(), 0u);
     }
@@ -101,25 +99,16 @@ TEST(ObsPipeline, ArtifactsBitIdenticalTracingOnAndOff) {
   obs::MetricsRegistry::global().reset();
 }
 
-TEST(ObsPipeline, ArtifactsBitIdenticalSerialAndParallelWhileTraced) {
+TEST(ObsPipeline, RepeatedTracedRunsAreBitIdentical) {
   const BenchmarkProblem &P = nearbyProblem();
   obs::ScopedEnable Enable(true);
   obs::TraceRecorder::global().clear();
 
-  // Across thread counts the determinism contract pins the *artifacts*
-  // (node totals may differ: early-exit searches stop at different points
-  // of the decomposed tree). Within one thread count, everything must
-  // reproduce exactly — tracing included.
-  RunResult Serial = runPipeline(P, nullptr);
-  ThreadPool Pool(4);
-  RunResult Parallel = runPipeline(P, &Pool);
-  EXPECT_EQ(Serial.TrueSet, Parallel.TrueSet);
-  EXPECT_EQ(Serial.FalseSet, Parallel.FalseSet);
-  EXPECT_EQ(Serial.Boxes, Parallel.Boxes);
-  EXPECT_EQ(Serial.Valid, Parallel.Valid);
-
-  RunResult ParallelAgain = runPipeline(P, &Pool);
-  expectSameResult(Parallel, ParallelAgain);
+  // Registration is serial, so everything reproduces exactly from run to
+  // run — artifacts and node counts alike, tracing included.
+  RunResult First = runPipeline(P);
+  RunResult Again = runPipeline(P);
+  expectSameResult(First, Again);
 
   obs::TraceRecorder::global().clear();
   obs::MetricsRegistry::global().reset();
@@ -128,7 +117,7 @@ TEST(ObsPipeline, ArtifactsBitIdenticalSerialAndParallelWhileTraced) {
 TEST(ObsPipeline, TracedRunRecordsSynthAndVerifySpans) {
   obs::ScopedEnable Enable(true);
   obs::TraceRecorder::global().clear();
-  RunResult R = runPipeline(nearbyProblem(), nullptr);
+  RunResult R = runPipeline(nearbyProblem());
   EXPECT_TRUE(R.Valid);
 
   bool SawSynth = false, SawVerify = false;
@@ -138,6 +127,32 @@ TEST(ObsPipeline, TracedRunRecordsSynthAndVerifySpans) {
   }
   EXPECT_TRUE(SawSynth);
   EXPECT_TRUE(SawVerify);
+
+  // Every built query observes anosy_query_build_seconds once, whichever
+  // exit it takes: synthesized, statically rejected, or constant-answer.
+  auto M = parseModule("secret S { x: int[0, 100] }\n"
+                       "query half = x <= 50\n"
+                       "query pinned = x == 3\n"
+                       "query always = x >= 0\n");
+  ASSERT_TRUE(M.ok()) << M.error().str();
+  obs::MetricsRegistry::global().reset();
+  SessionOptions Opt;
+  Opt.StaticAdmission = true;
+  auto S = AnosySession<Box>::create(M.takeValue(), minSizePolicy<Box>(10),
+                                     Opt);
+  ASSERT_TRUE(S.ok()) << S.error().str();
+  const QueryArtifacts<Box> *Pinned = S->artifacts("pinned");
+  ASSERT_NE(Pinned, nullptr);
+  ASSERT_TRUE(Pinned->Degradation.has_value());
+  EXPECT_EQ(Pinned->Degradation->Reason, DegradationReason::StaticallyRejected);
+  const QueryArtifacts<Box> *Always = S->artifacts("always");
+  ASSERT_NE(Always, nullptr);
+  EXPECT_EQ(Always->Attempts, 0u);
+  EXPECT_FALSE(Always->Degradation.has_value());
+  EXPECT_EQ(obs::MetricsRegistry::global()
+                .histogram("anosy_query_build_seconds")
+                .count(),
+            3u);
 
   obs::TraceRecorder::global().clear();
   obs::MetricsRegistry::global().reset();

@@ -2,7 +2,8 @@
 //
 // Deterministic (manual-pump mode, no threads) tests of the daemon's
 // vocabulary, front door, bounded-queue shedding, deadlines, quotas,
-// machine-readable reason codes, and flush/restart persistence.
+// machine-readable reason codes, and flush/restart persistence — plus
+// the thread bound of a default (worker + watchdog) daemon.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <optional>
+#include <sstream>
 #include <thread>
 
 using namespace anosy;
@@ -69,6 +73,41 @@ ServiceRequest downgradeRequest(const std::string &Tenant,
   R.Name = Name;
   R.Secret = std::move(Secret);
   return R;
+}
+
+/// Live threads of this process, from /proc/self/task; nullopt where
+/// /proc is unreadable. A joined thread can linger in the task list
+/// while it exits; such tasks carry PF_EXITING and are not counted.
+std::optional<size_t> liveThreads() {
+  constexpr unsigned long PfExiting = 0x4;
+  std::error_code EC;
+  std::filesystem::directory_iterator It("/proc/self/task", EC);
+  if (EC)
+    return std::nullopt;
+  size_t N = 0;
+  for (; It != std::filesystem::directory_iterator(); It.increment(EC)) {
+    if (EC)
+      return std::nullopt;
+    std::ifstream In(It->path() / "stat");
+    std::string Stat;
+    if (!std::getline(In, Stat))
+      continue; // The task exited while we listed it.
+    // After the parenthesized command: state ppid pgrp session tty_nr
+    // tpgid flags.
+    size_t Close = Stat.rfind(')');
+    if (Close == std::string::npos)
+      return std::nullopt;
+    std::istringstream Fields(Stat.substr(Close + 1));
+    std::string Skip;
+    for (int I = 0; I != 6; ++I)
+      Fields >> Skip;
+    unsigned long Flags = 0;
+    if (!(Fields >> Flags))
+      return std::nullopt;
+    if ((Flags & PfExiting) == 0)
+      ++N;
+  }
+  return N;
 }
 
 } // namespace
@@ -424,4 +463,34 @@ TEST(MonitorDaemon, OutOfSchemaSecretIsRefusedNotFatal) {
   R = Daemon.call(downgradeRequest("acme", "high", {45}));
   EXPECT_EQ(R.Status, ResponseStatus::Ok);
   EXPECT_TRUE(R.BoolValue);
+}
+
+// === Thread bound =======================================================
+
+TEST(MonitorDaemon, ThreadCountDoesNotGrowWithTenants) {
+  // Sessions register serially on the worker that runs them, so a default
+  // daemon holds its workers plus the watchdog and nothing per tenant.
+  // Some runtimes (ThreadSanitizer) start a helper thread along with the
+  // process's first extra thread; start and join one so the baseline
+  // already includes it.
+  std::thread([] {}).join();
+  std::optional<size_t> Baseline = liveThreads();
+  if (!Baseline)
+    GTEST_SKIP() << "/proc/self/task is unreadable";
+  DaemonOptions Opt;
+  ASSERT_GT(Opt.Workers, 0u);
+  ASSERT_GT(Opt.WatchdogPollMs, 0u);
+  const size_t Bound = *Baseline + Opt.Workers + 1;
+
+  MonitorDaemon D(Opt);
+  ASSERT_TRUE(D.start().ok());
+  size_t Peak = *liveThreads();
+  for (int I = 0; I != 40; ++I) {
+    ServiceResponse Reg =
+        D.call(registerRequest("tenant" + std::to_string(I)));
+    ASSERT_EQ(Reg.Status, ResponseStatus::Ok) << Reg.Detail;
+    Peak = std::max(Peak, *liveThreads());
+  }
+  EXPECT_LE(Peak, Bound) << "baseline " << *Baseline;
+  D.drain();
 }

@@ -2,8 +2,6 @@
 
 #include "support/FaultInjection.h"
 
-#include "support/ThreadPool.h"
-
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -94,7 +92,7 @@ TEST(FaultInjection, SitesAreIndependent) {
   EXPECT_TRUE(faults::shouldFail(FaultSite::KbRead));
   // Other sites stay quiet at rate 0.
   EXPECT_FALSE(faults::shouldFail(FaultSite::VerifierObligation));
-  EXPECT_FALSE(faults::shouldFail(FaultSite::PoolTask));
+  EXPECT_FALSE(faults::shouldFail(FaultSite::KbWrite));
 }
 
 TEST(FaultInjection, ParseSpecRoundTrips) {
@@ -140,25 +138,6 @@ TEST(FaultInjection, ThreadSafeHitClaiming) {
     W.join();
   // Every hit was claimed exactly once.
   EXPECT_EQ(faults::hits(FaultSite::SolverCharge), PerThread * Threads);
-}
-
-TEST(FaultInjection, PoolTaskFaultDemotesToInline) {
-  FaultScope Scope;
-  faults::configure(singleSite(FaultSite::PoolTask, 1, 11));
-  ThreadPool Pool(4);
-  std::atomic<int> OnSpawner{0};
-  std::thread::id Spawner = std::this_thread::get_id();
-  {
-    ThreadPool::TaskGroup G(Pool);
-    for (int I = 0; I != 16; ++I)
-      G.spawn([&] {
-        if (std::this_thread::get_id() == Spawner)
-          OnSpawner.fetch_add(1, std::memory_order_relaxed);
-      });
-    G.wait();
-  }
-  // Rate 1: every spawn was demoted to inline execution on the spawner.
-  EXPECT_EQ(OnSpawner.load(), 16);
 }
 
 TEST(FaultInjection, MixIsStableForSameSalt) {
