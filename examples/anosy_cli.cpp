@@ -57,7 +57,6 @@
 
 #include "analysis/LeakageAnalyzer.h"
 #include "analysis/LintReport.h"
-#include "compile/CompiledEval.h"
 #include "core/AnosySession.h"
 #include "core/ArtifactIO.h"
 #include "expr/Parser.h"
@@ -135,9 +134,6 @@ int usage(const char *Argv0) {
       "          [--trace-out FILE]   (Chrome trace_event JSON; implies\n"
       "                              --probe-monitor)\n"
       "          [--metrics-out FILE] (Prometheus text exposition)\n"
-      "          [--compiled-eval off|on|auto] (tape-compiled interval\n"
-      "                          evaluation; default auto; results are\n"
-      "                          identical in every mode)\n"
       "          [--probe-monitor]    (one downgrade per query at the\n"
       "                              schema-center secret)\n"
       "   or: %s lint [files.anosy...] [--json] [--min-size N]\n"
@@ -487,20 +483,6 @@ int main(int Argc, char **Argv) {
       if (!V)
         return usage(Argv[0]);
       Opt.MinSize = parseInt64Flag("--min-size", V);
-    } else if (Arg == "--compiled-eval") {
-      const char *V = Next();
-      if (!V)
-        return usage(Argv[0]);
-      CompiledEvalMode M;
-      if (!parseCompiledEvalMode(V, M))
-        badFlagValue("--compiled-eval", V);
-      setCompiledEvalMode(M);
-    } else if (Arg.rfind("--compiled-eval=", 0) == 0) {
-      const char *V = Arg.c_str() + std::strlen("--compiled-eval=");
-      CompiledEvalMode M;
-      if (!parseCompiledEvalMode(V, M))
-        badFlagValue("--compiled-eval", V);
-      setCompiledEvalMode(M);
     } else if (Arg == "--trace-out") {
       const char *V = Next();
       if (!V)

@@ -35,7 +35,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "compile/CompiledEval.h"
 #include "obs/Metrics.h"
 #include "obs/Obs.h"
 #include "service/LoadHarness.h"
@@ -69,7 +68,6 @@ int usage() {
       "              [--queue-capacity N] [--workers N]\n"
       "              [--deadline-ms N] [--max-inflight N]\n"
       "              [--max-kb-bytes N] [--metrics-out FILE]\n"
-      "              [--compiled-eval off|on|auto]\n"
       "              [--fault-inject SPEC] [--relational off|auto|on]\n"
       "   or: anosyd --soak [--tenants N] [--sessions N] [--steps N]\n"
       "              [--sps X] [--burst X] [--seed N] (plus serve flags)\n"
@@ -253,23 +251,7 @@ int main(int Argc, char **Argv) {
       DOpt.Quotas.MaxInFlight = static_cast<unsigned>(NextU64("--max-inflight"));
     else if (Arg == "--max-kb-bytes")
       DOpt.Quotas.MaxKbBytes = static_cast<size_t>(NextU64("--max-kb-bytes"));
-    else if (Arg == "--compiled-eval" && I + 1 < Argc) {
-      CompiledEvalMode M;
-      if (!parseCompiledEvalMode(Argv[++I], M)) {
-        std::fprintf(stderr, "bad --compiled-eval value '%s' (off|on|auto)\n",
-                     Argv[I]);
-        return usage();
-      }
-      setCompiledEvalMode(M);
-    } else if (Arg.rfind("--compiled-eval=", 0) == 0) {
-      CompiledEvalMode M;
-      if (!parseCompiledEvalMode(Arg.substr(16), M)) {
-        std::fprintf(stderr, "bad --compiled-eval value '%s' (off|on|auto)\n",
-                     Arg.c_str() + 16);
-        return usage();
-      }
-      setCompiledEvalMode(M);
-    } else if (Arg == "--metrics-out" && I + 1 < Argc)
+    else if (Arg == "--metrics-out" && I + 1 < Argc)
       MetricsOut = Argv[++I];
     else if (Arg == "--fault-inject" && I + 1 < Argc)
       FaultSpec = Argv[++I];

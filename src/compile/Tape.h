@@ -7,8 +7,8 @@
 /// \file
 /// The compiled form of a query: a flat register bytecode ("tape") plus
 /// the interpreter that executes it. Abstract interval evaluation of the
-/// query AST is the inner loop of branch-and-bound, the exact model
-/// counter, and the lint refiner; tree-walking `anosy/expr` nodes pays a
+/// query AST is the inner loop of branch-and-bound and the exact model
+/// counter; tree-walking `anosy/expr` nodes pays a
 /// virtual-free but pointer-chasing, allocation-adjacent price per node.
 /// Compiling once to a contiguous instruction array and dispatching in a
 /// tight loop removes the pointer chasing.

@@ -31,6 +31,9 @@
 /// Registration is serial: queries, then classifiers, in declaration
 /// order. Concurrency lives one level up, in anosyd's worker pool
 /// (DESIGN.md §5), so a session never starts a thread of its own.
+/// Each query's Synthesizer and RefinementChecker compile the query to
+/// their own tape (DESIGN.md §11); no compiled state outlives them or is
+/// shared between sessions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +43,6 @@
 #include "analysis/LeakageAnalyzer.h"
 #include "analysis/SolverSeeds.h"
 #include "cache/ArtifactCache.h"
-#include "compile/CompiledEval.h"
 #include "core/ArtifactIO.h"
 #include "core/Degradation.h"
 #include "core/KnowledgeTracker.h"
@@ -734,9 +736,6 @@ private:
     Info.QueryExpr = Q.Body;
     Info.Ind = Art.Ind;
     Info.Kind = ApproxKind::Under;
-    // Compile once at registration; synthesis/verification already
-    // populated the process-wide tape cache, so this is a cache hit.
-    Info.CompiledQuery = getOrCompileTape(Info.QueryExpr);
     Tracker->registerQuery(std::move(Info));
     Stats.SolverNodes += Art.Stats.SolverNodes;
     Stats.SynthSeconds += Art.Stats.Seconds;

@@ -11,15 +11,17 @@
 /// synthesized ind. sets and intersecting with the prior on demand — the
 /// same Fig. 4 definition `underapprox p = (dT ∩ p, dF ∩ p)`.
 ///
+/// A QueryInfo keeps no compiled form of the query: a downgrade runs the
+/// query on one concrete secret and intersects domains, and the box
+/// evaluation that needs a tape happens only at registration.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ANOSY_CORE_QUERYINFO_H
 #define ANOSY_CORE_QUERYINFO_H
 
-#include "compile/Tape.h"
 #include "domains/AbstractDomain.h"
 #include "expr/Eval.h"
-#include "solver/Predicate.h"
 #include "synth/ClassifierSynth.h"
 #include "synth/Synthesizer.h"
 
@@ -38,19 +40,9 @@ template <AbstractDomain D> struct QueryInfo {
   IndSets<D> Ind;
   /// Which approximation the ind. sets are (policy enforcement uses Under).
   ApproxKind Kind = ApproxKind::Under;
-  /// The query compiled to an interval-eval tape at registration (null
-  /// when the compiled-eval mode says tree-walk). Every later box probe
-  /// against this query goes through predicate() and reuses it.
-  TapeRef CompiledQuery;
 
   /// Runs the query on a concrete secret.
   bool run(const Point &Secret) const { return evalBool(*QueryExpr, Secret); }
-
-  /// The query as a solver predicate, backed by the registration-time
-  /// tape (tree-walk when none was compiled).
-  PredicateRef predicate() const {
-    return exprPredicate(QueryExpr, CompiledQuery);
-  }
 
   /// The synthesized approximation function: posterior pair for \p Prior
   /// (Fig. 4's underapprox/overapprox — a pairwise intersection, free at

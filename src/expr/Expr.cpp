@@ -2,6 +2,8 @@
 
 #include "expr/Expr.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 
 using namespace anosy;
@@ -47,11 +49,14 @@ ExprRef ExprFactory::make(ExprKind Kind, int64_t IntValue, CmpOp Op,
   return ExprRef(new Expr(Kind, IntValue, Op, std::move(Ops)));
 }
 
-size_t Expr::treeSize() const {
-  size_t Size = 1;
-  for (const ExprRef &Op : Operands)
-    Size += Op->treeSize();
-  return Size;
+Expr::Expr(ExprKind Kind, int64_t IntValue, CmpOp Op, std::vector<ExprRef> Ops)
+    : Kind(Kind), IntValue(IntValue), Op(Op), Operands(std::move(Ops)),
+      Size(1), Depth(1) {
+  for (const ExprRef &Operand : Operands) {
+    if (__builtin_add_overflow(Size, Operand->Size, &Size))
+      Size = SIZE_MAX;
+    Depth = std::max(Depth, Operand->Depth + 1);
+  }
 }
 
 //===----------------------------------------------------------------------===//

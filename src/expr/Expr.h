@@ -98,9 +98,13 @@ public:
   }
   const std::vector<ExprRef> &operands() const { return Operands; }
 
-  /// Number of AST nodes reachable from this one (counts shared nodes once
-  /// per occurrence; used for fragment-size diagnostics).
-  size_t treeSize() const;
+  /// Number of AST nodes reachable from this one, counting a shared node
+  /// once per occurrence (saturating at SIZE_MAX). Computed at
+  /// construction, so O(1); the parser caps it (expr/Parser.h).
+  size_t treeSize() const { return Size; }
+
+  /// Nodes on the longest root-to-leaf path (a leaf has depth 1). O(1).
+  size_t depth() const { return Depth; }
 
   /// Renders the expression using schema-free field names `$0`, `$1`, ...
   std::string str() const;
@@ -116,13 +120,14 @@ public:
 
 private:
   friend class ExprFactory;
-  Expr(ExprKind Kind, int64_t IntValue, CmpOp Op, std::vector<ExprRef> Ops)
-      : Kind(Kind), IntValue(IntValue), Op(Op), Operands(std::move(Ops)) {}
+  Expr(ExprKind Kind, int64_t IntValue, CmpOp Op, std::vector<ExprRef> Ops);
 
   ExprKind Kind;
   int64_t IntValue; ///< IntConst value, BoolConst truth, or FieldRef index.
   CmpOp Op;         ///< Only meaningful for Cmp.
   std::vector<ExprRef> Operands;
+  size_t Size;  ///< treeSize()
+  size_t Depth; ///< depth()
 };
 
 /// Factory namespace-class for Expr construction (friend of Expr).

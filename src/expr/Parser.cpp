@@ -91,8 +91,25 @@ private:
   Result<ExprRef> requireInt(Result<ExprRef> R, const char *Context);
   Result<ExprRef> requireBool(Result<ExprRef> R, const char *Context);
 
+  /// Passes \p X through when its elaborated depth and tree size are
+  /// within MaxQueryDepth/MaxQuerySize. Every node the parser builds goes
+  /// through here, the nodes of inlined def bodies included, so no
+  /// expression over the limits is ever handed to a later stage.
+  Result<ExprRef> bounded(ExprRef X) const;
+
+  /// One level of parser recursion. Counts source nesting, which parens
+  /// and `!`/`-` runs can make deep while the elaborated tree stays
+  /// shallow; nest() fails past MaxQueryDepth.
+  struct NestGuard {
+    explicit NestGuard(size_t &L) : Level(L) { ++Level; }
+    ~NestGuard() { --Level; }
+    size_t &Level;
+  };
+  Result<void> nest() const;
+
   std::vector<Token> Tokens;
   size_t Pos = 0;
+  size_t Nesting = 0;
 
   Schema S;
   bool HaveSchema = false;
@@ -120,6 +137,26 @@ Result<ExprRef> Parser::requireBool(Result<ExprRef> R, const char *Context) {
     return Error(ErrorCode::UnsupportedQuery,
                  std::string("expected a boolean expression in ") + Context);
   return R;
+}
+
+Result<ExprRef> Parser::bounded(ExprRef X) const {
+  if (X->depth() > MaxQueryDepth)
+    return Error(ErrorCode::UnsupportedQuery,
+                 "expression is more than " + std::to_string(MaxQueryDepth) +
+                     " levels deep after def inlining");
+  if (X->treeSize() > MaxQuerySize)
+    return Error(ErrorCode::UnsupportedQuery,
+                 "expression has more than " + std::to_string(MaxQuerySize) +
+                     " nodes after def inlining (a shared subterm counts "
+                     "at every use)");
+  return X;
+}
+
+Result<void> Parser::nest() const {
+  if (Nesting > MaxQueryDepth)
+    return errorHere("expression nests more than " +
+                     std::to_string(MaxQueryDepth) + " levels deep");
+  return Result<void>();
 }
 
 Result<Module> Parser::parseModule() {
@@ -315,6 +352,9 @@ Result<void> Parser::parseClassifierDecl() {
 }
 
 Result<ExprRef> Parser::parseExpr(const Env &E) {
+  NestGuard G(Nesting);
+  if (auto N = nest(); !N)
+    return N.error();
   auto LHS = parseOr(E);
   if (!LHS)
     return LHS;
@@ -325,7 +365,7 @@ Result<ExprRef> Parser::parseExpr(const Env &E) {
     auto R = requireBool(parseExpr(E), "'==>' right operand");
     if (!R)
       return R;
-    return implies(L.takeValue(), R.takeValue());
+    return bounded(implies(L.takeValue(), R.takeValue()));
   }
   return LHS;
 }
@@ -340,7 +380,7 @@ Result<ExprRef> Parser::parseOr(const Env &E) {
     auto R = requireBool(parseAnd(E), "'||' right operand");
     if (!R)
       return R;
-    LHS = orOf(L.takeValue(), R.takeValue());
+    LHS = bounded(orOf(L.takeValue(), R.takeValue()));
   }
   return LHS;
 }
@@ -355,17 +395,20 @@ Result<ExprRef> Parser::parseAnd(const Env &E) {
     auto R = requireBool(parseNot(E), "'&&' right operand");
     if (!R)
       return R;
-    LHS = andOf(L.takeValue(), R.takeValue());
+    LHS = bounded(andOf(L.takeValue(), R.takeValue()));
   }
   return LHS;
 }
 
 Result<ExprRef> Parser::parseNot(const Env &E) {
   if (match(TokenKind::Bang)) {
+    NestGuard G(Nesting);
+    if (auto N = nest(); !N)
+      return N.error();
     auto R = requireBool(parseNot(E), "'!' operand");
     if (!R)
       return R;
-    return notOf(R.takeValue());
+    return bounded(notOf(R.takeValue()));
   }
   return parseCmp(E);
 }
@@ -404,7 +447,7 @@ Result<ExprRef> Parser::parseCmp(const Env &E) {
   auto R = requireInt(parseAdd(E), "comparison right operand");
   if (!R)
     return R;
-  return cmp(Op, L.takeValue(), R.takeValue());
+  return bounded(cmp(Op, L.takeValue(), R.takeValue()));
 }
 
 Result<ExprRef> Parser::parseAdd(const Env &E) {
@@ -418,8 +461,8 @@ Result<ExprRef> Parser::parseAdd(const Env &E) {
     auto R = requireInt(parseMul(E), "additive right operand");
     if (!R)
       return R;
-    LHS = IsAdd ? add(L.takeValue(), R.takeValue())
-                : sub(L.takeValue(), R.takeValue());
+    LHS = bounded(IsAdd ? add(L.takeValue(), R.takeValue())
+                        : sub(L.takeValue(), R.takeValue()));
   }
   return LHS;
 }
@@ -434,17 +477,20 @@ Result<ExprRef> Parser::parseMul(const Env &E) {
     auto R = requireInt(parseUnary(E), "'*' right operand");
     if (!R)
       return R;
-    LHS = mul(L.takeValue(), R.takeValue());
+    LHS = bounded(mul(L.takeValue(), R.takeValue()));
   }
   return LHS;
 }
 
 Result<ExprRef> Parser::parseUnary(const Env &E) {
   if (match(TokenKind::Minus)) {
+    NestGuard G(Nesting);
+    if (auto N = nest(); !N)
+      return N.error();
     auto R = requireInt(parseUnary(E), "unary minus operand");
     if (!R)
       return R;
-    return neg(R.takeValue());
+    return bounded(neg(R.takeValue()));
   }
   return parsePrimary(E);
 }
@@ -472,7 +518,7 @@ Result<ExprRef> Parser::parsePrimary(const Env &E) {
       return A;
     if (auto P = expect(TokenKind::RParen, "abs"); !P)
       return P.error();
-    return absOf(A.takeValue());
+    return bounded(absOf(A.takeValue()));
   }
   if (checkKeyword("min") || checkKeyword("max")) {
     bool IsMin = advance().Text == "min";
@@ -488,8 +534,8 @@ Result<ExprRef> Parser::parsePrimary(const Env &E) {
       return B;
     if (auto P = expect(TokenKind::RParen, "min/max"); !P)
       return P.error();
-    return IsMin ? minOf(A.takeValue(), B.takeValue())
-                 : maxOf(A.takeValue(), B.takeValue());
+    return bounded(IsMin ? minOf(A.takeValue(), B.takeValue())
+                         : maxOf(A.takeValue(), B.takeValue()));
   }
   if (matchKeyword("if")) {
     auto C = requireBool(parseExpr(E), "if condition");
@@ -508,11 +554,11 @@ Result<ExprRef> Parser::parsePrimary(const Env &E) {
     // Boolean-sorted ite desugars to (c && t) || (!c && f).
     if (T.value()->isBoolSorted() && F.value()->isBoolSorted()) {
       ExprRef Cond = C.takeValue();
-      return orOf(andOf(Cond, T.takeValue()),
-                  andOf(notOf(Cond), F.takeValue()));
+      return bounded(orOf(andOf(Cond, T.takeValue()),
+                          andOf(notOf(Cond), F.takeValue())));
     }
     if (T.value()->isIntSorted() && F.value()->isIntSorted())
-      return intIte(C.takeValue(), T.takeValue(), F.takeValue());
+      return bounded(intIte(C.takeValue(), T.takeValue(), F.takeValue()));
     return Error(ErrorCode::UnsupportedQuery,
                  "'if' arms must have the same sort");
   }

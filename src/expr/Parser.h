@@ -32,6 +32,15 @@
 ///             | 'if' expr 'then' expr 'else' expr | '(' expr ')'
 /// \endcode
 ///
+/// Module source may come from an untrusted tenant (anosyd's register
+/// verb), so every query and classifier body is held to two fixed limits,
+/// checked on each node as the parser builds it: MaxQueryDepth bounds both
+/// the source nesting and the depth of the elaborated expression, and
+/// MaxQuerySize bounds its tree size, a shared subterm counted at every
+/// use. Def inlining cannot get round either. Both sit far above any
+/// query a service writes and far below what exhausts the stack of the
+/// recursive stages downstream (simplify, tape compile, evaluation).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ANOSY_EXPR_PARSER_H
@@ -40,9 +49,16 @@
 #include "expr/Module.h"
 #include "support/Result.h"
 
+#include <cstddef>
 #include <string>
 
 namespace anosy {
+
+/// Deepest source nesting, and deepest elaborated expression, accepted.
+inline constexpr size_t MaxQueryDepth = 256;
+
+/// Largest elaborated expression accepted, in nodes (Expr::treeSize).
+inline constexpr size_t MaxQuerySize = size_t(1) << 16;
 
 /// Parses and elaborates a full module source.
 Result<Module> parseModule(const std::string &Source);

@@ -2,10 +2,13 @@
 
 #include "solver/Predicate.h"
 
-#include "compile/CompiledEval.h"
+#include "compile/Tape.h"
 #include "domains/BoxAlgebra.h"
 #include "expr/Eval.h"
+#include "obs/Instrument.h"
 #include "solver/RangeEval.h"
+
+#include <chrono>
 
 using namespace anosy;
 
@@ -29,6 +32,8 @@ public:
   Tribool evalBox(const Box &B) const override {
     if (T)
       return T->run(B, tapeScratch());
+    // Only an expression deeper than the tape's register file gets here;
+    // the parser's depth cap keeps parsed modules well below that.
     return evalTribool(*E, B);
   }
   // Concrete evaluation stays on the AST: evalBool uses plain wrapping
@@ -42,7 +47,7 @@ public:
 
 private:
   ExprRef E;
-  TapeRef T; ///< Null = tree-walk.
+  TapeRef T; ///< Null only when Tape::compile refused the expression.
 };
 
 class ConstPred final : public Predicate {
@@ -192,12 +197,22 @@ private:
 } // namespace
 
 PredicateRef anosy::exprPredicate(ExprRef E) {
-  TapeRef T = getOrCompileTape(E);
+  const auto Start = std::chrono::steady_clock::now();
+  ANOSY_OBS_SPAN(Span, "anosy.tape.compile");
+  TapeRef T = Tape::compile(*E);
+  if (T) {
+    const double Us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - Start)
+                          .count();
+    ANOSY_OBS_SPAN_ARG(Span, "tape_len", static_cast<int64_t>(T->length()));
+    ANOSY_OBS_SPAN_ARG(Span, "compile_us", Us);
+    ANOSY_OBS_COUNT("anosy_tape_compiles_total",
+                    "Queries compiled to interval-eval tapes", 1);
+    ANOSY_OBS_OBSERVE_SECONDS("anosy_tape_compile_seconds",
+                              "Wall time compiling queries to tapes",
+                              Us / 1e6);
+  }
   return std::make_shared<ExprPred>(std::move(E), std::move(T));
-}
-
-PredicateRef anosy::exprPredicate(ExprRef E, TapeRef Tape) {
-  return std::make_shared<ExprPred>(std::move(E), std::move(Tape));
 }
 
 PredicateRef anosy::constPredicate(bool Value) {

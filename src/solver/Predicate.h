@@ -24,7 +24,6 @@
 #ifndef ANOSY_SOLVER_PREDICATE_H
 #define ANOSY_SOLVER_PREDICATE_H
 
-#include "compile/Tape.h"
 #include "domains/Box.h"
 #include "domains/PowerBox.h"
 #include "expr/Expr.h"
@@ -64,15 +63,11 @@ protected:
 using PredicateRef = std::shared_ptr<const Predicate>;
 
 /// The query predicate: wraps a boolean-sorted expression; box evaluation
-/// is abstract interval evaluation. Under the current compiled-eval mode
-/// (compile/CompiledEval.h) the expression is compiled to a tape — cached
-/// process-wide — and box probes run the tape instead of tree-walking.
+/// is abstract interval evaluation. The expression is compiled to its own
+/// tape (compile/Tape.h) here, once, and every box probe runs that tape.
+/// Build the predicate once per query and reuse it: nothing caches tapes
+/// across predicates.
 PredicateRef exprPredicate(ExprRef E);
-
-/// As above, but with a tape the caller already compiled (registration
-/// caches tapes on QueryInfo so per-session rebuilds skip the cache
-/// lookup). A null \p Tape means tree-walk unconditionally.
-PredicateRef exprPredicate(ExprRef E, TapeRef Tape);
 
 /// Constant predicate.
 PredicateRef constPredicate(bool Value);

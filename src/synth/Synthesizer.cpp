@@ -2,8 +2,6 @@
 
 #include "synth/Synthesizer.h"
 
-#include "compile/CompiledEval.h"
-
 #include "expr/Analysis.h"
 #include "expr/Simplify.h"
 #include "obs/Instrument.h"
@@ -27,7 +25,7 @@ void initBudget(SolverBudget &B, const SynthOptions &Options) {
 Synthesizer::Synthesizer(const Schema &InS, ExprRef InQuery,
                          SynthOptions InOptions)
     : S(InS), Query(std::move(InQuery)), Options(InOptions),
-      Bounds(Box::top(InS)), QueryTape(getOrCompileTape(Query)) {}
+      Bounds(Box::top(InS)), QueryPred(exprPredicate(Query)) {}
 
 Result<Synthesizer> Synthesizer::create(const Schema &S, ExprRef Query,
                                         SynthOptions Options) {
@@ -118,9 +116,8 @@ Synthesizer::synthesizeInterval(ApproxKind Kind, SynthStats *Stats) const {
   SolverBudget Budget;
   initBudget(Budget, Options);
 
-  PredicateRef Q = exprPredicate(Query, QueryTape);
-  PredicateRef NotQ = notPredicate(Q);
-  ResponseSearch ST = makeSearch(Q, Options.TrueRegionSeed);
+  PredicateRef NotQ = notPredicate(QueryPred);
+  ResponseSearch ST = makeSearch(QueryPred, Options.TrueRegionSeed);
   ResponseSearch SF = makeSearch(NotQ, Options.FalseRegionSeed);
 
   IndSets<Box> Sets{Box::bottom(S.arity()), Box::bottom(S.arity())};
@@ -288,9 +285,8 @@ Synthesizer::synthesizePowerset(ApproxKind Kind, unsigned K,
   SolverBudget Budget;
   initBudget(Budget, Options);
 
-  PredicateRef Q = exprPredicate(Query, QueryTape);
-  PredicateRef NotQ = notPredicate(Q);
-  ResponseSearch ST = makeSearch(Q, Options.TrueRegionSeed);
+  PredicateRef NotQ = notPredicate(QueryPred);
+  ResponseSearch ST = makeSearch(QueryPred, Options.TrueRegionSeed);
   ResponseSearch SF = makeSearch(NotQ, Options.FalseRegionSeed);
 
   IndSets<PowerBox> Sets{PowerBox(S.arity()), PowerBox(S.arity())};

@@ -149,10 +149,9 @@ private:
   ExprRef Query;
   SynthOptions Options;
   Box Bounds; ///< The schema's full box.
-  /// The query compiled to an interval-eval tape under the compiled-eval
-  /// mode at construction (null = tree-walk). Both synthesis arms reuse
-  /// it, so one registration compiles the query exactly once.
-  TapeRef QueryTape;
+  /// The query as a solver predicate, built (and its tape compiled) once
+  /// at construction; both synthesis arms share it.
+  PredicateRef QueryPred;
 };
 
 } // namespace anosy

@@ -2,8 +2,6 @@
 
 #include "verify/RefinementChecker.h"
 
-#include "compile/CompiledEval.h"
-
 #include "obs/Instrument.h"
 
 using namespace anosy;
@@ -14,9 +12,10 @@ RefinementChecker::RefinementChecker(const Schema &InS, ExprRef InQuery,
                                      uint64_t InDeadlineMs)
     : S(InS), Query(std::move(InQuery)), Bounds(Box::top(InS)),
       MaxSolverNodes(MaxSolverNodes), SessionBudget(InSessionBudget),
-      DeadlineMs(InDeadlineMs), QueryTape(getOrCompileTape(this->Query)) {
+      DeadlineMs(InDeadlineMs) {
   assert(this->Query && this->Query->isBoolSorted() &&
          "refinement checking needs a boolean query");
+  QueryPred = exprPredicate(this->Query);
 }
 
 Certificate
@@ -65,7 +64,7 @@ CertificateBundle RefinementChecker::checkIndSets(const IndSets<D> &Sets,
                                                   ApproxKind Kind) const {
   ANOSY_OBS_SPAN(Span, "anosy.verify.indsets");
   uint64_t NodesBefore = NodesUsed;
-  PredicateRef Q = exprPredicate(Query, QueryTape);
+  const PredicateRef &Q = QueryPred;
   PredicateRef NotQ = notPredicate(Q);
   PredicateRef InT = memberPredicate(Sets.TrueSet);
   PredicateRef InF = memberPredicate(Sets.FalseSet);
@@ -109,7 +108,7 @@ CertificateBundle RefinementChecker::checkPosterior(const D &Prior,
                                                     const D &PostTrue,
                                                     const D &PostFalse,
                                                     ApproxKind Kind) const {
-  PredicateRef Q = exprPredicate(Query, QueryTape);
+  const PredicateRef &Q = QueryPred;
   PredicateRef NotQ = notPredicate(Q);
   PredicateRef InPrior = memberPredicate(Prior);
   PredicateRef InT = memberPredicate(PostTrue);

@@ -73,9 +73,9 @@ private:
   uint64_t MaxSolverNodes;
   SolverBudget *SessionBudget;
   uint64_t DeadlineMs;
-  /// The query compiled once at construction (null = tree-walk); every
-  /// obligation's predicates share it.
-  TapeRef QueryTape;
+  /// The query as a solver predicate, built (and its tape compiled) once
+  /// at construction; every obligation's predicates share it.
+  PredicateRef QueryPred;
   mutable uint64_t NodesUsed = 0;
 };
 

@@ -9,7 +9,7 @@
 // as every solver call site.
 //
 // Scale knob: ANOSY_TAPE_DIFF_QUERIES (default 2000) for the CI
-// compiled-eval leg to crank up.
+// tape-differential job to crank up.
 //
 //===----------------------------------------------------------------------===//
 

@@ -1,6 +1,5 @@
 //===- tests/compile/TapeTest.cpp - Tape compiler & interpreter units -----===//
 
-#include "compile/CompiledEval.h"
 #include "compile/Tape.h"
 #include "domains/Box.h"
 #include "solver/Predicate.h"
@@ -17,18 +16,6 @@ namespace {
 Box box2(int64_t ALo, int64_t AHi, int64_t BLo, int64_t BHi) {
   return Box({{ALo, AHi}, {BLo, BHi}});
 }
-
-/// RAII mode override so tests cannot leak a mode into each other.
-class ScopedMode {
-public:
-  explicit ScopedMode(CompiledEvalMode M) : Prev(compiledEvalMode()) {
-    setCompiledEvalMode(M);
-  }
-  ~ScopedMode() { setCompiledEvalMode(Prev); }
-
-private:
-  CompiledEvalMode Prev;
-};
 
 TEST(TapeTest, CompilesComparisonToExpectedShape) {
   // $0 + 3 <= $1  →  ldf, ldc, add, ldf, cmp.
@@ -107,64 +94,6 @@ TEST(TapeTest, DisassemblyNamesEveryInstruction) {
             T->length());
   for (const char *Mnemonic : {"ldf", "ldc", "min", "not", "jt", "or", "<="})
     EXPECT_NE(Dis.find(Mnemonic), std::string::npos) << Dis;
-}
-
-TEST(TapeTest, ModeParsingAndNames) {
-  CompiledEvalMode M = CompiledEvalMode::Auto;
-  EXPECT_TRUE(parseCompiledEvalMode("off", M));
-  EXPECT_EQ(M, CompiledEvalMode::Off);
-  EXPECT_TRUE(parseCompiledEvalMode("on", M));
-  EXPECT_EQ(M, CompiledEvalMode::On);
-  EXPECT_TRUE(parseCompiledEvalMode("auto", M));
-  EXPECT_EQ(M, CompiledEvalMode::Auto);
-  EXPECT_FALSE(parseCompiledEvalMode("fast", M));
-  EXPECT_EQ(M, CompiledEvalMode::Auto);
-  EXPECT_STREQ(compiledEvalModeName(CompiledEvalMode::Off), "off");
-  EXPECT_STREQ(compiledEvalModeName(CompiledEvalMode::On), "on");
-  EXPECT_STREQ(compiledEvalModeName(CompiledEvalMode::Auto), "auto");
-}
-
-TEST(TapeTest, ModeGatesCompilation) {
-  ExprRef Tiny = lt(fieldRef(0), intConst(3));
-  ExprRef Big = andOf(lt(fieldRef(0), intConst(3)),
-                      gt(fieldRef(1), intConst(-3)));
-  {
-    ScopedMode Off(CompiledEvalMode::Off);
-    EXPECT_EQ(getOrCompileTape(Big), nullptr);
-  }
-  {
-    ScopedMode On(CompiledEvalMode::On);
-    EXPECT_NE(getOrCompileTape(Tiny), nullptr);
-    EXPECT_NE(getOrCompileTape(Big), nullptr);
-  }
-  {
-    ScopedMode Auto(CompiledEvalMode::Auto);
-    // A lone comparison stays on the tree walk; a conjunction compiles.
-    EXPECT_EQ(getOrCompileTape(Tiny), nullptr);
-    EXPECT_NE(getOrCompileTape(Big), nullptr);
-  }
-}
-
-TEST(TapeTest, CacheReturnsSameTapeForEqualQueries) {
-  ScopedMode On(CompiledEvalMode::On);
-  ExprRef A = andOf(lt(fieldRef(0), intConst(17)),
-                    gt(fieldRef(1), intConst(-17)));
-  ExprRef B = andOf(lt(fieldRef(0), intConst(17)),
-                    gt(fieldRef(1), intConst(-17)));
-  ASSERT_NE(A.get(), B.get()); // Distinct nodes, equal structure.
-  TapeRef TA = getOrCompileTape(A);
-  TapeRef TB = getOrCompileTape(B);
-  ASSERT_NE(TA, nullptr);
-  EXPECT_EQ(TA.get(), TB.get()) << "structural cache must dedupe compiles";
-}
-
-TEST(TapeTest, ExprPredicateHonorsOffMode) {
-  // Off-mode predicates carry no tape and still answer correctly.
-  ScopedMode Off(CompiledEvalMode::Off);
-  PredicateRef P = exprPredicate(
-      andOf(le(fieldRef(0), fieldRef(1)), ge(fieldRef(0), intConst(-20))));
-  EXPECT_EQ(P->evalBox(box2(0, 10, 20, 30)), Tribool::True);
-  EXPECT_EQ(P->evalBox(box2(-30, -25, -40, -39)), Tribool::False);
 }
 
 } // namespace

@@ -221,3 +221,72 @@ TEST(ParserModule, BoolParametersWork) {
   EXPECT_FALSE(evalBool(*M->queries()[0].Body, {60}));
   EXPECT_FALSE(evalBool(*M->queries()[0].Body, {5}));
 }
+
+// === Limits on hostile source ============================================
+
+namespace {
+
+/// `d0(x) = <D0Body>` and `di(x) = d(i-1)(d(i-1)(x))` up to d(Levels-1),
+/// queried as `d(Levels-1)(a) > 0`: a few hundred bytes of source whose
+/// elaborated tree doubles with every level.
+std::string chainedDefs(const std::string &D0Body, unsigned Levels) {
+  std::string Src = "secret S { a: int[0, 100], b: int[0, 100] }\n";
+  Src += "def d0(x: int): int = " + D0Body + "\n";
+  for (unsigned I = 1; I != Levels; ++I) {
+    std::string Prev = "d" + std::to_string(I - 1);
+    Src += "def d" + std::to_string(I) + "(x: int): int = " + Prev + "(" +
+           Prev + "(x))\n";
+  }
+  return Src + "query q = d" + std::to_string(Levels - 1) + "(a) > 0\n";
+}
+
+void expectRejected(const std::string &Src, const char *Limit) {
+  auto M = parseModule(Src);
+  ASSERT_FALSE(M.ok());
+  EXPECT_TRUE(M.error().code() == ErrorCode::ParseError ||
+              M.error().code() == ErrorCode::UnsupportedQuery)
+      << M.error().str();
+  EXPECT_NE(M.error().message().find(Limit), std::string::npos)
+      << M.error().str();
+}
+
+const char *HostileSchema = "secret S { x: int[0, 10] }\nquery q = ";
+
+} // namespace
+
+TEST(ParserLimits, DeepParenthesesAreRejected) {
+  // ~8 KB: 4000 nested parentheses around one comparison.
+  expectRejected(std::string(HostileSchema) + std::string(4000, '(') + "x > 0" +
+                     std::string(4000, ')'),
+                 "levels deep");
+}
+
+TEST(ParserLimits, LongNegationRunIsRejected) {
+  expectRejected(std::string(HostileSchema) + std::string(50000, '!') + "x > 0",
+                 "levels deep");
+}
+
+TEST(ParserLimits, ChainedDefsTooDeepAreRejected) {
+  // Elaborated depth 2^15 from shallow source nesting.
+  std::string Src = chainedDefs("abs(x - b)", 15);
+  EXPECT_LT(Src.size(), 700u);
+  expectRejected(Src, "levels deep after def inlining");
+}
+
+TEST(ParserLimits, SharedSubtermBlowupIsRejected) {
+  // Shallow (depth ~70) but 2^32-fold tree growth through shared
+  // subterms: the size cap, not the depth cap, must stop it.
+  expectRejected(chainedDefs("min(x, b) + min(b, x)", 6),
+                 "nodes after def inlining");
+}
+
+TEST(ParserLimits, QueriesWithinTheLimitsParse) {
+  auto Deep = parseModule(std::string(HostileSchema) +
+                          std::string(MaxQueryDepth - 2, '(') + "x > 0" +
+                          std::string(MaxQueryDepth - 2, ')'));
+  EXPECT_TRUE(Deep.ok()) << Deep.error().str();
+  // Three levels of doubling stay far below both limits.
+  auto Chain = parseModule(chainedDefs("min(x, b) + min(b, x)", 3));
+  ASSERT_TRUE(Chain.ok()) << Chain.error().str();
+  EXPECT_LE(Chain->queries()[0].Body->treeSize(), MaxQuerySize);
+}

@@ -263,6 +263,30 @@ TEST(MonitorDaemon, FrontDoorRejections) {
   EXPECT_EQ(NoQ.Status, ResponseStatus::Refused);
 }
 
+TEST(MonitorDaemon, HostileModuleIsRefusedAndOtherTenantsKeepServing) {
+  MonitorDaemon D(pumpOptions());
+  ASSERT_TRUE(D.start().ok());
+  ASSERT_EQ(D.call(registerRequest("acme")).Status, ResponseStatus::Ok);
+
+  // ~600 bytes whose elaborated query is 2^15 levels deep: it used to
+  // overflow the stack of whichever thread parsed it.
+  std::string Hostile = "secret S { a: int[0, 100], b: int[0, 100] }\n"
+                        "def d0(x: int): int = abs(x - b)\n";
+  for (int I = 1; I != 15; ++I)
+    Hostile += "def d" + std::to_string(I) + "(x: int): int = d" +
+               std::to_string(I - 1) + "(d" + std::to_string(I - 1) +
+               "(x))\n";
+  Hostile += "query q = d14(a) > 0\n";
+  ServiceResponse Evil = D.call(registerRequest("evil", Hostile.c_str()));
+  EXPECT_EQ(Evil.Status, ResponseStatus::Error);
+  EXPECT_NE(Evil.Detail.find("front door"), std::string::npos) << Evil.Detail;
+
+  ServiceResponse Hi = D.call(downgradeRequest("acme", "high", {45}));
+  ASSERT_EQ(Hi.Status, ResponseStatus::Ok) << Hi.Detail;
+  ASSERT_TRUE(Hi.HasBool);
+  EXPECT_TRUE(Hi.BoolValue);
+}
+
 TEST(MonitorDaemon, QueueFullShedsDeterministically) {
   MonitorDaemon D(pumpOptions(/*QueueCapacity=*/4));
   ASSERT_TRUE(D.start().ok());
