@@ -136,7 +136,7 @@ Box permuteToCanonical(const Box &B, const std::vector<unsigned> &Perm) {
   Dims.reserve(Perm.size());
   for (unsigned Canon = 0; Canon != Perm.size(); ++Canon)
     Dims.push_back(B.dim(Perm[Canon]));
-  return Box(std::move(Dims));
+  return Box(Dims);
 }
 
 Box permuteFromCanonical(const Box &B, const std::vector<unsigned> &Perm) {
@@ -144,7 +144,7 @@ Box permuteFromCanonical(const Box &B, const std::vector<unsigned> &Perm) {
   std::vector<Interval> Dims(Perm.size(), Interval::empty());
   for (unsigned Canon = 0; Canon != Perm.size(); ++Canon)
     Dims[Perm[Canon]] = B.dim(Canon);
-  return Box(std::move(Dims));
+  return Box(Dims);
 }
 
 PowerBox permuteToCanonical(const PowerBox &P,

@@ -4,49 +4,60 @@
 
 using namespace anosy;
 
-Box::Box(std::vector<Interval> InDims) : Dims(std::move(InDims)) {
-  Empty = Dims.empty();
-  for (const Interval &I : Dims)
-    if (I.isEmpty())
-      Empty = true;
+Box::Box(const std::vector<Interval> &Dims) : Box(Dims.size()) {
+  std::copy(Dims.begin(), Dims.end(), data());
+  canonicalize();
+}
+
+void Box::canonicalize() {
+  Interval *D = data();
+  Empty = N == 0;
+  for (size_t I = 0; I != N && !Empty; ++I)
+    Empty = D[I].isEmpty();
   if (Empty)
-    for (Interval &I : Dims)
-      I = Interval::empty();
+    std::fill_n(D, N, Interval::empty());
 }
 
 Box Box::top(const Schema &S) {
-  std::vector<Interval> Dims;
-  Dims.reserve(S.arity());
-  for (const Field &F : S.fields())
-    Dims.push_back({F.Lo, F.Hi});
-  return Box(std::move(Dims));
+  Box R(S.arity());
+  for (size_t I = 0, E = S.arity(); I != E; ++I)
+    R.data()[I] = {S.fields()[I].Lo, S.fields()[I].Hi};
+  R.canonicalize();
+  return R;
 }
 
 Box Box::bottom(size_t Arity) {
   assert(Arity > 0 && "secrets have at least one field");
-  return Box(std::vector<Interval>(Arity, Interval::empty()));
+  Box R(Arity);
+  std::fill_n(R.data(), Arity, Interval::empty());
+  return R;
 }
 
 Box Box::point(const Point &P) {
-  std::vector<Interval> Dims;
-  Dims.reserve(P.size());
-  for (int64_t V : P)
-    Dims.push_back(Interval::point(V));
-  return Box(std::move(Dims));
+  Box R(P.size());
+  for (size_t I = 0, E = P.size(); I != E; ++I)
+    R.data()[I] = Interval::point(P[I]);
+  R.canonicalize();
+  return R;
 }
 
 Box Box::withDim(size_t I, Interval NewDim) const {
-  assert(I < Dims.size() && "dimension out of range");
-  std::vector<Interval> NewDims = Dims;
-  NewDims[I] = NewDim;
-  return Box(std::move(NewDims));
+  assert(I < N && "dimension out of range");
+  Box R(*this);
+  R.data()[I] = NewDim;
+  // A non-empty box with a non-empty new dimension stays non-empty; every
+  // other case (an empty box stays empty) goes through canonicalize.
+  if (Empty || NewDim.isEmpty())
+    R.canonicalize();
+  return R;
 }
 
 bool Box::contains(const Point &P) const {
-  if (Empty || P.size() != Dims.size())
+  if (Empty || P.size() != N)
     return false;
-  for (size_t I = 0, E = Dims.size(); I != E; ++I)
-    if (!Dims[I].contains(P[I]))
+  const Interval *D = data();
+  for (size_t I = 0; I != N; ++I)
+    if (!D[I].contains(P[I]))
       return false;
   return true;
 }
@@ -54,52 +65,68 @@ bool Box::contains(const Point &P) const {
 bool Box::subsetOf(const Box &O) const {
   if (Empty)
     return true;
-  if (O.Empty || O.Dims.size() != Dims.size())
+  if (O.Empty || O.N != N)
     return false;
-  for (size_t I = 0, E = Dims.size(); I != E; ++I)
-    if (!Dims[I].subsetOf(O.Dims[I]))
+  const Interval *D = data(), *OD = O.data();
+  for (size_t I = 0; I != N; ++I)
+    if (!D[I].subsetOf(OD[I]))
       return false;
   return true;
 }
 
 Box Box::intersect(const Box &O) const {
-  assert(Dims.size() == O.Dims.size() && "arity mismatch");
+  assert(N == O.N && "arity mismatch");
   if (Empty || O.Empty)
-    return bottom(Dims.size());
-  std::vector<Interval> NewDims;
-  NewDims.reserve(Dims.size());
-  for (size_t I = 0, E = Dims.size(); I != E; ++I)
-    NewDims.push_back(Dims[I].intersect(O.Dims[I]));
-  return Box(std::move(NewDims));
+    return bottom(N);
+  Box R(N);
+  const Interval *D = data(), *OD = O.data();
+  for (size_t I = 0; I != N; ++I)
+    R.data()[I] = D[I].intersect(OD[I]);
+  R.canonicalize();
+  return R;
+}
+
+bool Box::intersects(const Box &O) const {
+  assert(N == O.N && "arity mismatch");
+  if (Empty || O.Empty)
+    return false;
+  const Interval *D = data(), *OD = O.data();
+  for (size_t I = 0; I != N; ++I)
+    if (std::max(D[I].Lo, OD[I].Lo) > std::min(D[I].Hi, OD[I].Hi))
+      return false;
+  return true;
 }
 
 Box Box::hull(const Box &O) const {
-  assert(Dims.size() == O.Dims.size() && "arity mismatch");
+  assert(N == O.N && "arity mismatch");
   if (Empty)
     return O;
   if (O.Empty)
     return *this;
-  std::vector<Interval> NewDims;
-  NewDims.reserve(Dims.size());
-  for (size_t I = 0, E = Dims.size(); I != E; ++I)
-    NewDims.push_back(Dims[I].hull(O.Dims[I]));
-  return Box(std::move(NewDims));
+  Box R(N);
+  const Interval *D = data(), *OD = O.data();
+  for (size_t I = 0; I != N; ++I)
+    R.data()[I] = D[I].hull(OD[I]);
+  R.canonicalize();
+  return R;
 }
 
 BigCount Box::volume() const {
   if (Empty)
     return BigCount();
   BigCount V(1);
-  for (const Interval &I : Dims)
-    V = V * I.width();
+  const Interval *D = data();
+  for (size_t I = 0; I != N; ++I)
+    V = V * D[I].width();
   return V;
 }
 
 bool Box::isUnit() const {
   if (Empty)
     return false;
-  for (const Interval &I : Dims)
-    if (I.Lo != I.Hi)
+  const Interval *D = data();
+  for (size_t I = 0; I != N; ++I)
+    if (D[I].Lo != D[I].Hi)
       return false;
   return true;
 }
@@ -107,21 +134,29 @@ bool Box::isUnit() const {
 Point Box::center() const {
   assert(!Empty && "center of empty box");
   Point P;
-  P.reserve(Dims.size());
-  for (const Interval &I : Dims)
-    P.push_back(I.midpoint());
+  P.reserve(N);
+  const Interval *D = data();
+  for (size_t I = 0; I != N; ++I)
+    P.push_back(D[I].midpoint());
   return P;
 }
 
 size_t Box::widestDim() const {
   assert(!Empty && "widestDim of empty box");
+  // Hi - Lo in uint64 is width - 1, exact for every interval (the full
+  // range gives 2^64 - 1), so it orders dimensions like Interval::width()
+  // without building a BigCount per dimension.
+  const Interval *D = data();
+  auto Span = [](const Interval &I) {
+    return static_cast<uint64_t>(I.Hi) - static_cast<uint64_t>(I.Lo);
+  };
   size_t Best = 0;
-  BigCount BestWidth = Dims[0].width();
-  for (size_t I = 1, E = Dims.size(); I != E; ++I) {
-    BigCount W = Dims[I].width();
-    if (BestWidth < W) {
+  uint64_t BestSpan = Span(D[0]);
+  for (size_t I = 1; I != N; ++I) {
+    uint64_t S = Span(D[I]);
+    if (BestSpan < S) {
       Best = I;
-      BestWidth = W;
+      BestSpan = S;
     }
   }
   return Best;
@@ -136,26 +171,28 @@ std::pair<Box, Box> Box::splitAt(size_t Dim) const {
 }
 
 bool Box::operator==(const Box &O) const {
-  if (Dims.size() != O.Dims.size())
+  if (N != O.N)
     return false;
   if (Empty && O.Empty)
     return true;
   if (Empty != O.Empty)
     return false;
-  for (size_t I = 0, E = Dims.size(); I != E; ++I)
-    if (Dims[I] != O.Dims[I])
+  const Interval *D = data(), *OD = O.data();
+  for (size_t I = 0; I != N; ++I)
+    if (D[I] != OD[I])
       return false;
   return true;
 }
 
 std::string Box::str() const {
   if (Empty)
-    return "<empty/" + std::to_string(Dims.size()) + ">";
+    return "<empty/" + std::to_string(N) + ">";
   std::string Out;
-  for (size_t I = 0, E = Dims.size(); I != E; ++I) {
+  const Interval *D = data();
+  for (size_t I = 0; I != N; ++I) {
     if (I != 0)
       Out += " x ";
-    Out += Dims[I].str();
+    Out += D[I].str();
   }
   return Out;
 }

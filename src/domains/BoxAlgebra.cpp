@@ -29,22 +29,24 @@ bool forEachCellRec(
     return Callback(Prefix, InList);
   }
 
-  // Breakpoints: interval starts and one-past-ends in dimension D.
-  std::vector<int64_t> Cuts;
+  // Breakpoints: interval starts and one-past-ends in dimension D. A
+  // field may end at INT64_MAX, whose one-past-end needs 65 bits; every
+  // cut but the last is some interval's start or in-range end + 1, so the
+  // slab bounds below fit int64.
+  std::vector<__int128> Cuts;
   Cuts.reserve(Entries.size() * 2);
   for (const Entry &E : Entries) {
     const Interval &I = E.B->dim(D);
     Cuts.push_back(I.Lo);
-    // I.Hi + 1 cannot overflow for the bounded schemas we handle, but be
-    // careful anyway: Hi == INT64_MAX never occurs after schema checks.
-    Cuts.push_back(I.Hi + 1);
+    Cuts.push_back(static_cast<__int128>(I.Hi) + 1);
   }
   std::sort(Cuts.begin(), Cuts.end());
   Cuts.erase(std::unique(Cuts.begin(), Cuts.end()), Cuts.end());
 
   std::vector<Entry> Slab;
   for (size_t CI = 0; CI + 1 < Cuts.size(); ++CI) {
-    int64_t Lo = Cuts[CI], Hi = Cuts[CI + 1] - 1;
+    int64_t Lo = static_cast<int64_t>(Cuts[CI]);
+    int64_t Hi = static_cast<int64_t>(Cuts[CI + 1] - 1);
     Slab.clear();
     for (const Entry &E : Entries) {
       const Interval &I = E.B->dim(D);

@@ -204,7 +204,7 @@ Box Octagon::toBox() const {
     int64_t Lo = LB == Inf ? INT64_MIN : -floorDiv2(LB);
     Dims.push_back({Lo, Hi});
   }
-  return Box(std::move(Dims));
+  return Box(Dims);
 }
 
 bool Octagon::contains(const Point &P) const {

@@ -41,15 +41,17 @@ ExistsResult findWitnessImpl(const Predicate &P, const Box &B, uint64_t Salt,
   if (B.isEmpty())
     return Result;
 
-  SplitHints Hints;
-  P.splitHints(Hints);
-  normalizeSplitHints(Hints);
+  const SplitHints &Hints = P.splitHints();
 
   struct Entry {
     Box B;
     uint64_t Code;
   };
-  std::vector<Entry> Stack;
+  // Per-thread and reused, so a call allocates nothing once the stack has
+  // grown. A search never runs inside another on one thread: predicate
+  // evaluation never calls a decider.
+  thread_local std::vector<Entry> Stack;
+  Stack.clear();
   Stack.push_back({B, rootCode(Salt)});
   while (!Stack.empty()) {
     if (!Budget.charge()) {
@@ -97,11 +99,10 @@ ForallResult anosy::checkForall(const Predicate &P, const Box &B,
   if (B.isEmpty())
     return Result;
 
-  SplitHints Hints;
-  P.splitHints(Hints);
-  normalizeSplitHints(Hints);
+  const SplitHints &Hints = P.splitHints();
 
-  std::vector<Box> Stack;
+  thread_local std::vector<Box> Stack; // reused, as in findWitnessImpl
+  Stack.clear();
   Stack.push_back(B);
   while (!Stack.empty()) {
     if (!Budget.charge()) {

@@ -14,11 +14,11 @@ CountResult anosy::countSat(const Predicate &P, const Box &B,
   if (B.isEmpty())
     return Result;
 
-  SplitHints Hints;
-  P.splitHints(Hints);
-  normalizeSplitHints(Hints);
+  const SplitHints &Hints = P.splitHints();
 
-  std::vector<Box> Stack;
+  // Per-thread and reused, like the deciders' stacks (solver/Decide.cpp).
+  thread_local std::vector<Box> Stack;
+  Stack.clear();
   Stack.push_back(B);
   while (!Stack.empty()) {
     if (!Budget.charge()) {

@@ -22,6 +22,29 @@ const char *anosy::growObjectiveName(GrowObjective Obj) {
 
 namespace {
 
+/// Hi - Lo for Lo <= Hi: exact in uint64, where it may not fit int64 (a
+/// dimension may end at INT64_MAX).
+uint64_t distance(int64_t Lo, int64_t Hi) {
+  return static_cast<uint64_t>(Hi) - static_cast<uint64_t>(Lo);
+}
+
+/// Hi - Lo for Lo <= Hi, saturated at INT64_MAX.
+int64_t satDistance(int64_t Lo, int64_t Hi) {
+  return static_cast<int64_t>(
+      std::min(distance(Lo, Hi), static_cast<uint64_t>(INT64_MAX)));
+}
+
+/// The width of the non-empty interval \p I, saturated at INT64_MAX.
+int64_t satWidth(const Interval &I) {
+  int64_t D = satDistance(I.Lo, I.Hi);
+  return D == INT64_MAX ? D : D + 1;
+}
+
+/// min(Limit, 2 * X) for 0 <= X <= Limit, without overflowing.
+int64_t doubledUpTo(int64_t X, int64_t Limit) {
+  return X > Limit / 2 ? Limit : X * 2;
+}
+
 /// Largest extension of \p Cur's dimension \p D by a slab on side \p Upper
 /// that keeps every new point valid. Returns the new interval for D.
 /// Uses exponential probing then binary refinement; each probe checks only
@@ -31,9 +54,10 @@ Interval extendSide(const Predicate &Valid, const Box &Cur, size_t D,
                     bool Upper, const Interval &Limit, int64_t MaxStep,
                     SolverBudget &Budget, bool &Exhausted) {
   const Interval &CurD = Cur.dim(D);
-  int64_t Room = Upper ? Limit.Hi - CurD.Hi : CurD.Lo - Limit.Lo;
-  if (Room <= 0)
+  if (Upper ? CurD.Hi >= Limit.Hi : CurD.Lo <= Limit.Lo)
     return CurD;
+  int64_t Room = Upper ? satDistance(CurD.Hi, Limit.Hi)
+                       : satDistance(Limit.Lo, CurD.Lo);
   if (MaxStep > 0)
     Room = std::min(Room, MaxStep);
 
@@ -53,12 +77,12 @@ Interval extendSide(const Predicate &Valid, const Box &Cur, size_t D,
     Good = Probe;
     if (Probe == Room)
       break;
-    Probe = std::min(Room, Probe * 2);
+    Probe = doubledUpTo(Probe, Room);
   }
   if (Good == 0)
     return CurD;
   // Binary refinement in (Good, min(2*Good, Room)].
-  int64_t Lo = Good, Hi = std::min(Room, Good * 2);
+  int64_t Lo = Good, Hi = doubledUpTo(Good, Room);
   while (Lo < Hi && !Exhausted) {
     int64_t Mid = Lo + (Hi - Lo + 1) / 2;
     if (SlabValid(Mid))
@@ -86,7 +110,7 @@ Box growFrom(const Predicate &Valid, const Point &SeedPoint,
       if (Capped) {
         // Cap the per-round growth at the current width so all dimensions
         // advance together (§5.3's preference for square-ish boxes).
-        MaxStep = std::max<int64_t>(1, Cur.dim(D).Hi - Cur.dim(D).Lo + 1);
+        MaxStep = satWidth(Cur.dim(D));
       }
       for (bool Upper : {true, false}) {
         Interval NewD = extendSide(Valid, Cur, D, Upper, Bounds.dim(D),
@@ -105,8 +129,8 @@ Box growFrom(const Predicate &Valid, const Point &SeedPoint,
 bool widthDominates(const Box &A, const Box &B) {
   bool Strict = false;
   for (size_t D = 0, N = A.arity(); D != N; ++D) {
-    int64_t WA = A.dim(D).Hi - A.dim(D).Lo;
-    int64_t WB = B.dim(D).Hi - B.dim(D).Lo;
+    uint64_t WA = distance(A.dim(D).Lo, A.dim(D).Hi);
+    uint64_t WB = distance(B.dim(D).Lo, B.dim(D).Hi);
     if (WA < WB)
       return false;
     if (WA > WB)
@@ -119,7 +143,7 @@ bool widthDominates(const Box &A, const Box &B) {
 int64_t minWidth(const Box &B) {
   int64_t Min = INT64_MAX;
   for (size_t D = 0, N = B.arity(); D != N; ++D)
-    Min = std::min(Min, B.dim(D).Hi - B.dim(D).Lo + 1);
+    Min = std::min(Min, satWidth(B.dim(D)));
   return Min;
 }
 
@@ -257,6 +281,6 @@ BoundResult anosy::tightBoundingBox(const Predicate &P, const Box &Bounds,
     }
     Tight[D] = {MinCoord, Lo};
   }
-  Result.Bounding = Box(std::move(Tight));
+  Result.Bounding = Box(Tight);
   return Result;
 }

@@ -27,6 +27,8 @@ public:
   ExprPred(ExprRef E, TapeRef T) : E(std::move(E)), T(std::move(T)) {
     assert(this->E && this->E->isBoolSorted() &&
            "query predicates wrap boolean expressions");
+    collectExprSplitHints(*this->E, Hints);
+    normalizeSplitHints(Hints);
   }
 
   Tribool evalBox(const Box &B) const override {
@@ -40,9 +42,6 @@ public:
   // int64 arithmetic while the tape saturates, and points must keep the
   // tree walk's exact concrete semantics.
   bool evalPoint(const Point &P) const override { return evalBool(*E, P); }
-  void splitHints(SplitHints &Hints) const override {
-    collectExprSplitHints(*E, Hints);
-  }
   std::string str() const override { return E->str(); }
 
 private:
@@ -64,13 +63,14 @@ private:
 
 class NotPred final : public Predicate {
 public:
-  explicit NotPred(PredicateRef A) : A(std::move(A)) {}
+  explicit NotPred(PredicateRef A) : A(std::move(A)) {
+    Hints = this->A->splitHints();
+  }
 
   Tribool evalBox(const Box &B) const override {
     return triNot(A->evalBox(B));
   }
   bool evalPoint(const Point &P) const override { return !A->evalPoint(P); }
-  void splitHints(SplitHints &Hints) const override { A->splitHints(Hints); }
   std::string str() const override { return "!(" + A->str() + ")"; }
 
 private:
@@ -79,7 +79,9 @@ private:
 
 class AndPred final : public Predicate {
 public:
-  AndPred(PredicateRef A, PredicateRef B) : A(std::move(A)), B(std::move(B)) {}
+  AndPred(PredicateRef A, PredicateRef B) : A(std::move(A)), B(std::move(B)) {
+    Hints = mergeSplitHints(this->A->splitHints(), this->B->splitHints());
+  }
 
   Tribool evalBox(const Box &Bx) const override {
     Tribool TA = A->evalBox(Bx);
@@ -89,10 +91,6 @@ public:
   }
   bool evalPoint(const Point &P) const override {
     return A->evalPoint(P) && B->evalPoint(P);
-  }
-  void splitHints(SplitHints &Hints) const override {
-    A->splitHints(Hints);
-    B->splitHints(Hints);
   }
   std::string str() const override {
     return "(" + A->str() + ") && (" + B->str() + ")";
@@ -104,7 +102,9 @@ private:
 
 class OrPred final : public Predicate {
 public:
-  OrPred(PredicateRef A, PredicateRef B) : A(std::move(A)), B(std::move(B)) {}
+  OrPred(PredicateRef A, PredicateRef B) : A(std::move(A)), B(std::move(B)) {
+    Hints = mergeSplitHints(this->A->splitHints(), this->B->splitHints());
+  }
 
   Tribool evalBox(const Box &Bx) const override {
     Tribool TA = A->evalBox(Bx);
@@ -114,10 +114,6 @@ public:
   }
   bool evalPoint(const Point &P) const override {
     return A->evalPoint(P) || B->evalPoint(P);
-  }
-  void splitHints(SplitHints &Hints) const override {
-    A->splitHints(Hints);
-    B->splitHints(Hints);
   }
   std::string str() const override {
     return "(" + A->str() + ") || (" + B->str() + ")";
@@ -129,7 +125,10 @@ private:
 
 class InBoxPred final : public Predicate {
 public:
-  explicit InBoxPred(Box Target) : Target(std::move(Target)) {}
+  explicit InBoxPred(Box Target) : Target(std::move(Target)) {
+    collectBoxSplitHints(this->Target, Hints);
+    normalizeSplitHints(Hints);
+  }
 
   Tribool evalBox(const Box &B) const override {
     if (Target.isEmpty())
@@ -141,9 +140,6 @@ public:
     return Tribool::Unknown;
   }
   bool evalPoint(const Point &P) const override { return Target.contains(P); }
-  void splitHints(SplitHints &Hints) const override {
-    collectBoxSplitHints(Target, Hints);
-  }
   std::string str() const override { return "in " + Target.str(); }
 
 private:
@@ -153,7 +149,11 @@ private:
 class InUnionPred final : public Predicate {
 public:
   explicit InUnionPred(std::vector<Box> InBoxes)
-      : Boxes(pruneSubsumed(std::move(InBoxes))) {}
+      : Boxes(pruneSubsumed(std::move(InBoxes))) {
+    for (const Box &T : Boxes)
+      collectBoxSplitHints(T, Hints);
+    normalizeSplitHints(Hints);
+  }
 
   Tribool evalBox(const Box &B) const override {
     bool AnyOverlap = false;
@@ -175,10 +175,6 @@ public:
       if (T.contains(P))
         return true;
     return false;
-  }
-  void splitHints(SplitHints &Hints) const override {
-    for (const Box &T : Boxes)
-      collectBoxSplitHints(T, Hints);
   }
   std::string str() const override {
     std::string Out = "in union{";

@@ -19,6 +19,12 @@
 /// Combinators use Kleene logic on the abstract side, so abstract answers
 /// remain sound under composition.
 ///
+/// Every predicate carries its split hints (solver/SplitHints.h), computed
+/// and normalized by its constructor: an expression predicate collects
+/// them from its expression, a box or union predicate from its faces, and
+/// a combinator merges its children's. The deciders read them by
+/// reference, so a search costs no hint work per call or per node.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ANOSY_SOLVER_PREDICATE_H
@@ -48,16 +54,20 @@ public:
   /// Concrete truth at \p P.
   virtual bool evalPoint(const Point &P) const = 0;
 
-  /// Appends the coordinates where this predicate's truth can flip (see
-  /// solver/SplitHints.h). Publishing no hints is always sound; the
-  /// deciders then fall back to midpoint bisection.
-  virtual void splitHints(SplitHints &Hints) const { (void)Hints; }
+  /// The coordinates where this predicate's truth can flip (see
+  /// solver/SplitHints.h), sorted and deduplicated per dimension; fixed
+  /// when the predicate is built. Publishing no hints is always sound;
+  /// the deciders then fall back to midpoint bisection.
+  const SplitHints &splitHints() const { return Hints; }
 
   /// Debug rendering.
   virtual std::string str() const = 0;
 
 protected:
   Predicate() = default;
+
+  /// Set once by each subclass constructor, normalized.
+  SplitHints Hints;
 };
 
 using PredicateRef = std::shared_ptr<const Predicate>;

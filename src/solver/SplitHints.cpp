@@ -3,6 +3,7 @@
 #include "solver/SplitHints.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 
 using namespace anosy;
@@ -210,6 +211,19 @@ void anosy::normalizeSplitHints(SplitHints &Hints) {
     std::sort(Dim.begin(), Dim.end());
     Dim.erase(std::unique(Dim.begin(), Dim.end()), Dim.end());
   }
+}
+
+SplitHints anosy::mergeSplitHints(const SplitHints &A, const SplitHints &B) {
+  static const std::vector<int64_t> None;
+  SplitHints Out(std::max(A.size(), B.size()));
+  for (size_t D = 0, N = Out.size(); D != N; ++D) {
+    const auto &X = D < A.size() ? A[D] : None;
+    const auto &Y = D < B.size() ? B[D] : None;
+    Out[D].reserve(X.size() + Y.size());
+    std::set_union(X.begin(), X.end(), Y.begin(), Y.end(),
+                   std::back_inserter(Out[D]));
+  }
+  return Out;
 }
 
 std::pair<Box, Box> anosy::splitWithHints(const Box &B,

@@ -23,6 +23,12 @@
 /// hints and fall back to midpoint bisection, which matches the paper's
 /// observation that relational queries (B2) are the expensive class.
 ///
+/// Hints are a property of the predicate, not of the search: every
+/// Predicate collects and normalizes its hints once, when it is built
+/// (combinators merge their children's normalized lists), and the
+/// deciders read them by reference. A branch-and-bound node never
+/// re-walks the query.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ANOSY_SOLVER_SPLITHINTS_H
@@ -54,6 +60,11 @@ std::pair<Box, Box> splitWithHints(const Box &B, const SplitHints &Hints);
 
 /// Sorts and deduplicates hint lists (call once after collection).
 void normalizeSplitHints(SplitHints &Hints);
+
+/// The per-dimension union of two normalized hint sets; normalized, with
+/// as many dimensions as the longer input. Equal to appending both and
+/// normalizing.
+SplitHints mergeSplitHints(const SplitHints &A, const SplitHints &B);
 
 } // namespace anosy
 

@@ -64,7 +64,7 @@ Box genBox(Rng &R, unsigned Arity) {
   Dims.reserve(Arity);
   for (unsigned D = 0; D != Arity; ++D)
     Dims.push_back(genInterval(R));
-  return Box(std::move(Dims));
+  return Box(Dims);
 }
 
 TEST(TapeDifferentialTest, BoolTapesMatchEvalTribool) {

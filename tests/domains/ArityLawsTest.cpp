@@ -33,7 +33,7 @@ Box randomBox(Rng &R, size_t N, int64_t Hi) {
     int64_t Lo = R.range(0, Hi);
     Dims.push_back({Lo, R.range(Lo, Hi)});
   }
-  return Box(std::move(Dims));
+  return Box(Dims);
 }
 
 template <AbstractDomain D>

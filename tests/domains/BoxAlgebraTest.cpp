@@ -1,6 +1,7 @@
 //===- tests/domains/BoxAlgebraTest.cpp - Region algebra tests ------------===//
 
 #include "domains/BoxAlgebra.h"
+#include "domains/PowerBox.h"
 
 #include "support/Rng.h"
 
@@ -134,4 +135,33 @@ TEST(BoxAlgebra, ForEachCellEarlyStop) {
     return false; // stop immediately
   });
   EXPECT_EQ(Cells, 1);
+}
+
+// A field may end at INT64_MAX (the parser admits int[0, 9223372036854775807]).
+// The cell sweep cut at Hi + 1, which overflowed there: unionVolume,
+// differenceVolume and PowerBox::size answered 0 and unionCovers claimed
+// a box it does not cover was covered.
+TEST(BoxAlgebra, FieldBoundAtInt64Max) {
+  Box A = box(6, INT64_MAX, 0, 1);
+  // (INT64_MAX - 5) * 2 points.
+  BigCount VolA = BigCount::ofInterval(6, INT64_MAX) * BigCount(2);
+  EXPECT_EQ(unionVolume({A}, 2), VolA);
+  EXPECT_EQ(unionVolume({A, box(0, 10, 0, 1)}, 2),
+            VolA + BigCount(6 * 2));
+  EXPECT_EQ(differenceVolume({A}, {box(6, 10, 0, 1)}, 2),
+            VolA - BigCount(5 * 2));
+  EXPECT_EQ(differenceVolume({A}, {A}, 2), BigCount());
+  EXPECT_EQ(PowerBox(2, {A}, {}).size(), VolA);
+  EXPECT_EQ(PowerBox(2, {A}, {box(6, 10, 0, 1)}).size(),
+            VolA - BigCount(5 * 2));
+  EXPECT_FALSE(unionCovers({box(6, 100, 0, 1)}, A));
+  EXPECT_TRUE(unionCovers({box(0, 100, 0, 1), box(50, INT64_MAX, 0, 1)}, A));
+  EXPECT_FALSE(
+      unionCovers({box(0, 100, 0, 1), box(102, INT64_MAX, 0, 1)}, A));
+  // The full int64 range in one dimension.
+  Box Full({{INT64_MIN, INT64_MAX}});
+  EXPECT_EQ(unionVolume({Full}, 1),
+            BigCount::ofInterval(INT64_MIN, INT64_MAX));
+  EXPECT_TRUE(
+      unionCovers({Box({{INT64_MIN, 0}}), Box({{1, INT64_MAX}})}, Full));
 }

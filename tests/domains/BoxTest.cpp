@@ -2,6 +2,8 @@
 
 #include "domains/Box.h"
 
+#include "support/Rng.h"
+
 #include <gtest/gtest.h>
 
 using namespace anosy;
@@ -144,4 +146,130 @@ TEST(Box, CenterFullRange) {
   EXPECT_EQ(C[0], -1);
   EXPECT_EQ(C[1], INT64_MAX / 2);
   EXPECT_TRUE(Full.contains(C));
+}
+
+// Storage: boxes up to arity 4 keep their intervals inline and larger ones
+// on the heap. Every operation must agree with a plain per-dimension
+// model on both sides of that boundary.
+namespace {
+
+/// The reference model: intervals in a vector, empty iff any is empty.
+struct ModelBox {
+  std::vector<Interval> Dims;
+
+  bool empty() const {
+    for (const Interval &I : Dims)
+      if (I.isEmpty())
+        return true;
+    return Dims.empty();
+  }
+  bool equals(const ModelBox &O) const {
+    if (empty() || O.empty())
+      return empty() && O.empty();
+    for (size_t D = 0; D != Dims.size(); ++D)
+      if (Dims[D].Lo != O.Dims[D].Lo || Dims[D].Hi != O.Dims[D].Hi)
+        return false;
+    return true;
+  }
+  bool intersects(const ModelBox &O) const {
+    if (empty() || O.empty())
+      return false;
+    for (size_t D = 0; D != Dims.size(); ++D)
+      if (Dims[D].intersect(O.Dims[D]).isEmpty())
+        return false;
+    return true;
+  }
+};
+
+ModelBox randomModel(Rng &R, size_t N) {
+  ModelBox M;
+  for (size_t D = 0; D != N; ++D) {
+    int64_t Lo = R.range(-20, 20);
+    // One dimension in eight is empty.
+    M.Dims.push_back({Lo, Lo + R.range(-3, 20)});
+  }
+  return M;
+}
+
+/// Checks \p B against \p M: arity, emptiness, every interval (canonical
+/// empty when the model is empty).
+void expectMatches(const Box &B, const ModelBox &M) {
+  ASSERT_EQ(B.arity(), M.Dims.size());
+  EXPECT_EQ(B.isEmpty(), M.empty());
+  for (size_t D = 0; D != M.Dims.size(); ++D) {
+    Interval Want = M.empty() ? Interval::empty() : M.Dims[D];
+    EXPECT_EQ(B.dim(D).Lo, Want.Lo) << B.str();
+    EXPECT_EQ(B.dim(D).Hi, Want.Hi) << B.str();
+  }
+}
+
+} // namespace
+
+TEST(Box, StorageAcrossTheInlineBoundary) {
+  Rng R(1234);
+  for (size_t N = 1; N <= 6; ++N) {
+    for (int Trial = 0; Trial != 200; ++Trial) {
+      ModelBox MA = randomModel(R, N), MB = randomModel(R, N);
+      Box A(MA.Dims), B(MB.Dims);
+      expectMatches(A, MA);
+
+      // Copy construction and assignment, including across arities.
+      Box C(A);
+      expectMatches(C, MA);
+      Box D = Box::bottom(N == 6 ? 1 : N + 1);
+      D = A;
+      expectMatches(D, MA);
+      const Box &Alias = D;
+      D = Alias; // self-assignment is a no-op
+      expectMatches(D, MA);
+
+      // Move construction and assignment.
+      Box M1(std::move(C));
+      expectMatches(M1, MA);
+      Box M2 = Box::bottom(1);
+      M2 = std::move(M1);
+      expectMatches(M2, MA);
+
+      // == and intersects against the model (intersects used to be
+      // !intersect(O).isEmpty()).
+      EXPECT_EQ(A == B, MA.equals(MB));
+      EXPECT_EQ(A.intersects(B), MA.intersects(MB)) << A.str() << B.str();
+      EXPECT_EQ(A.intersects(B), !A.intersect(B).isEmpty());
+      EXPECT_TRUE(A == Box(MA.Dims));
+      EXPECT_TRUE(A == A.withDim(0, A.dim(0)));
+
+      // withDim matches replacing one interval of the box's canonical
+      // intervals, so an empty box stays empty.
+      size_t K = static_cast<size_t>(R.range(0, static_cast<int64_t>(N) - 1));
+      Interval New{R.range(-20, 20), R.range(-20, 20)};
+      ModelBox MW;
+      for (size_t I = 0; I != N; ++I)
+        MW.Dims.push_back(I == K ? New : A.dim(I));
+      expectMatches(A.withDim(K, New), MW);
+    }
+  }
+}
+
+TEST(Box, WithDimOnEmptyBoxStaysCanonicalEmpty) {
+  for (size_t N = 2; N <= 6; ++N) {
+    Box E = Box::bottom(N);
+    Box W = E.withDim(0, {3, 7});
+    EXPECT_TRUE(W.isEmpty());
+    EXPECT_EQ(W, Box::bottom(N));
+    EXPECT_EQ(W.dim(0), Interval::empty());
+    EXPECT_EQ(W.dim(0).Lo, Interval::empty().Lo);
+  }
+  // With one dimension, replacing it is the whole box.
+  EXPECT_EQ(Box::bottom(1).withDim(0, {3, 7}), Box({{3, 7}}));
+}
+
+TEST(Box, WidestDimMatchesWidthOrder) {
+  // Spans compared in uint64 order like Interval::width(), full range
+  // included; ties go to the lowest index.
+  EXPECT_EQ(Box({{INT64_MIN, INT64_MAX}, {0, 10}}).widestDim(), 0u);
+  EXPECT_EQ(Box({{0, 10}, {INT64_MIN, INT64_MAX}}).widestDim(), 1u);
+  EXPECT_EQ(Box({{INT64_MIN, -1}, {0, INT64_MAX}}).widestDim(), 0u);
+  EXPECT_EQ(Box({{0, INT64_MAX - 1}, {INT64_MIN, -1}}).widestDim(), 1u);
+  EXPECT_EQ(Box({{5, 5}, {7, 7}, {0, 0}}).widestDim(), 0u);
+  EXPECT_EQ(Box({{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 2}}).widestDim(), 4u);
 }

@@ -178,3 +178,20 @@ TEST(Optimize, GrowObjectiveNames) {
   EXPECT_STREQ(growObjectiveName(GrowObjective::ParetoWidth),
                "pareto-width");
 }
+
+TEST(Optimize, GrowsToAnInt64MaxFieldBound) {
+  // The first dimension is 2^63 wide, one more than int64 holds: the
+  // grower's room, step doubling, width cap and Pareto/balanced keys must
+  // not overflow (UBSan flagged the width cap and the balanced key).
+  Schema S("S", {{"a", 0, INT64_MAX}, {"b", 0, 3}});
+  PredicateRef P = q(S, "b <= 1");
+  for (GrowObjective Obj : {GrowObjective::Volume, GrowObjective::Balanced,
+                            GrowObjective::ParetoWidth}) {
+    GrowerConfig Config;
+    Config.Objective = Obj;
+    SolverBudget Budget;
+    GrowResult R = growMaximalBox(*P, *P, Box::top(S), Config, Budget);
+    ASSERT_TRUE(R.Best.has_value()) << growObjectiveName(Obj);
+    EXPECT_EQ(*R.Best, Box({{0, INT64_MAX}, {0, 1}})) << growObjectiveName(Obj);
+  }
+}

@@ -2,8 +2,11 @@
 
 #include "solver/Predicate.h"
 
+#include "domains/BoxAlgebra.h"
 #include "expr/Parser.h"
+#include "support/Rng.h"
 
+#include <functional>
 #include <gtest/gtest.h>
 
 using namespace anosy;
@@ -108,4 +111,100 @@ TEST(Predicate, StrRenderings) {
   EXPECT_NE(inBoxPredicate(box(0, 1, 0, 1))->str().find("in ["),
             std::string::npos);
   EXPECT_NE(notPredicate(q("a <= 1"))->str().find("!("), std::string::npos);
+}
+
+// Hints are computed once, when a predicate is built; combinators merge
+// their children's normalized lists. For random predicate trees the
+// result must equal collecting every part's hints fresh and normalizing.
+namespace {
+
+/// A random predicate plus a function that appends the raw (unnormalized)
+/// hints of its parts, part by part.
+struct HintCase {
+  PredicateRef P;
+  std::function<void(SplitHints &)> Collect;
+};
+
+Box randomGridBox(Rng &R) {
+  if (R.range(0, 7) == 0)
+    return Box::bottom(2);
+  int64_t XL = R.range(0, 20), YL = R.range(0, 20);
+  return box(XL, R.range(XL, 20), YL, R.range(YL, 20));
+}
+
+std::vector<Box> randomGridBoxes(Rng &R) {
+  std::vector<Box> Boxes;
+  for (int64_t I = 0, N = R.range(0, 4); I != N; ++I)
+    Boxes.push_back(randomGridBox(R));
+  return Boxes;
+}
+
+void collectUnion(const std::vector<Box> &Boxes, SplitHints &H) {
+  for (const Box &B : pruneSubsumed(Boxes))
+    collectBoxSplitHints(B, H);
+}
+
+HintCase randomHintCase(Rng &R, unsigned Depth) {
+  static const char *Queries[] = {
+      "a <= 7",
+      "abs(a - 10) + abs(b - 3) <= 5",
+      "a + b <= 12",
+      "2 * a - 3 >= 9 && b > 4",
+      "min(a, 6) == max(b - 2, 1)",
+      "b == 13 || a != 2",
+  };
+  int64_t Kind = R.range(0, Depth == 0 ? 3 : 6);
+  switch (Kind) {
+  case 0: {
+    auto E = parseQueryExpr(grid(), Queries[R.range(0, 5)]).value();
+    return {exprPredicate(E),
+            [E](SplitHints &H) { collectExprSplitHints(*E, H); }};
+  }
+  case 1: {
+    Box B = randomGridBox(R);
+    return {inBoxPredicate(B), [B](SplitHints &H) {
+              collectBoxSplitHints(B, H);
+            }};
+  }
+  case 2: {
+    std::vector<Box> Boxes = randomGridBoxes(R);
+    return {inUnionPredicate(Boxes),
+            [Boxes](SplitHints &H) { collectUnion(Boxes, H); }};
+  }
+  case 3: {
+    PowerBox PB(2, randomGridBoxes(R), randomGridBoxes(R));
+    return {inPowerBoxPredicate(PB), [PB](SplitHints &H) {
+              collectUnion(PB.includes(), H);
+              if (!PB.excludes().empty())
+                collectUnion(PB.excludes(), H);
+            }};
+  }
+  case 4: {
+    HintCase A = randomHintCase(R, Depth - 1);
+    return {notPredicate(A.P), A.Collect};
+  }
+  default: {
+    HintCase A = randomHintCase(R, Depth - 1);
+    HintCase B = randomHintCase(R, Depth - 1);
+    PredicateRef P =
+        Kind == 5 ? andPredicate(A.P, B.P) : orPredicate(A.P, B.P);
+    return {P, [A, B](SplitHints &H) {
+              A.Collect(H);
+              B.Collect(H);
+            }};
+  }
+  }
+}
+
+} // namespace
+
+TEST(Predicate, SplitHintsEqualFreshCollection) {
+  Rng R(77);
+  for (int Trial = 0; Trial != 400; ++Trial) {
+    HintCase C = randomHintCase(R, static_cast<unsigned>(R.range(0, 4)));
+    SplitHints Want;
+    C.Collect(Want);
+    normalizeSplitHints(Want);
+    EXPECT_EQ(C.P->splitHints(), Want) << C.P->str();
+  }
 }

@@ -5,6 +5,7 @@
 #include "expr/Parser.h"
 #include "solver/Decide.h"
 #include "solver/ModelCounter.h"
+#include "support/Rng.h"
 
 #include <algorithm>
 #include <gtest/gtest.h>
@@ -109,4 +110,24 @@ TEST(SplitHints, NormalizeSortsAndDedups) {
   SplitHints H{{5, 3, 5, 1}};
   normalizeSplitHints(H);
   EXPECT_EQ(H[0], (std::vector<int64_t>{1, 3, 5}));
+}
+
+TEST(SplitHints, MergeEqualsAppendThenNormalize) {
+  Rng R(5);
+  for (int Trial = 0; Trial != 300; ++Trial) {
+    SplitHints A(static_cast<size_t>(R.range(0, 3)));
+    SplitHints B(static_cast<size_t>(R.range(0, 3)));
+    for (SplitHints *H : {&A, &B})
+      for (auto &Dim : *H)
+        for (int64_t I = 0, N = R.range(0, 6); I != N; ++I)
+          Dim.push_back(R.range(-4, 4));
+    SplitHints Appended = A;
+    Appended.resize(std::max(A.size(), B.size()));
+    for (size_t D = 0; D != B.size(); ++D)
+      Appended[D].insert(Appended[D].end(), B[D].begin(), B[D].end());
+    normalizeSplitHints(Appended);
+    normalizeSplitHints(A);
+    normalizeSplitHints(B);
+    EXPECT_EQ(mergeSplitHints(A, B), Appended);
+  }
 }
