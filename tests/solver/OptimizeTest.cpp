@@ -3,6 +3,7 @@
 #include "solver/Optimize.h"
 
 #include "expr/Parser.h"
+#include "gen/QueryGen.h"
 #include "solver/ModelCounter.h"
 
 #include <gtest/gtest.h>
@@ -41,6 +42,49 @@ void expectMaximal(const Predicate &Valid, const Box &B, const Box &Bounds) {
     }
   }
 }
+
+/// Calls \p F on every point of the non-empty box \p B; stops at the first
+/// point where F returns false and returns false then.
+template <typename Fn> bool allPoints(const Box &B, Fn F) {
+  Point P(B.arity());
+  for (size_t D = 0; D != B.arity(); ++D)
+    P[D] = B.dim(D).Lo;
+  while (true) {
+    if (!F(P))
+      return false;
+    size_t D = 0;
+    while (D != B.arity() && P[D] == B.dim(D).Hi) {
+      P[D] = B.dim(D).Lo;
+      ++D;
+    }
+    if (D == B.arity())
+      return true;
+    ++P[D];
+  }
+}
+
+bool validEverywhere(const Predicate &P, const Box &B) {
+  return allPoints(B, [&](const Point &X) { return P.evalPoint(X); });
+}
+
+/// Every point is valid, but the box answer on the unit box at (1, 0) is
+/// False: a deliberately unsound box evaluation. Counts the box probes
+/// that contain (1, 0) and get an honest answer.
+class LyingAtOneZero final : public Predicate {
+public:
+  Tribool evalBox(const Box &B) const override {
+    if (B == Box::point(Lie))
+      return Tribool::False;
+    if (B.contains(Lie))
+      ++HonestProbes;
+    return Tribool::True;
+  }
+  bool evalPoint(const Point &) const override { return true; }
+  std::string str() const override { return "lying-at-(1,0)"; }
+
+  const Point Lie{1, 0};
+  mutable unsigned HonestProbes = 0;
+};
 
 } // namespace
 
@@ -194,4 +238,70 @@ TEST(Optimize, GrowsToAnInt64MaxFieldBound) {
     ASSERT_TRUE(R.Best.has_value()) << growObjectiveName(Obj);
     EXPECT_EQ(*R.Best, Box({{0, INT64_MAX}, {0, 1}})) << growObjectiveName(Obj);
   }
+}
+
+TEST(Optimize, GrownBoxIsValidAndOneStepMaximalOnRandomQueries) {
+  // Random queries of the §5.1 fragment over a 64×64 box (2^12 points),
+  // checked point by point rather than by the solver the grower uses:
+  // the grown box is valid, and every one-step extension inside the
+  // bounds holds an invalid point.
+  const Box Bounds({{-32, 31}, {-32, 31}});
+  unsigned Grown = 0;
+  for (uint64_t Seed = 1; Seed <= 80; ++Seed) {
+    QueryGen Gen(Seed);
+    PredicateRef P = exprPredicate(Gen.genQuery());
+    for (GrowObjective Obj : {GrowObjective::Volume, GrowObjective::Balanced,
+                              GrowObjective::ParetoWidth}) {
+      GrowerConfig Config;
+      Config.Objective = Obj;
+      SolverBudget Budget;
+      GrowResult R = growMaximalBox(*P, *P, Bounds, Config, Budget);
+      ASSERT_FALSE(R.Exhausted) << P->str();
+      if (!R.Best) {
+        EXPECT_TRUE(allPoints(
+            Bounds, [&](const Point &X) { return !P->evalPoint(X); }))
+            << "missed a valid point: " << P->str();
+        continue;
+      }
+      ++Grown;
+      const Box &B = *R.Best;
+      EXPECT_TRUE(validEverywhere(*P, B)) << P->str() << " " << B.str();
+      for (size_t D = 0; D != B.arity(); ++D) {
+        const Interval &Dim = B.dim(D);
+        if (Dim.Hi < Bounds.dim(D).Hi) {
+          EXPECT_FALSE(
+              validEverywhere(*P, B.withDim(D, {Dim.Hi + 1, Dim.Hi + 1})))
+              << "extensible upward in dim " << D << ": " << P->str()
+              << " " << B.str();
+        }
+        if (Dim.Lo > Bounds.dim(D).Lo) {
+          EXPECT_FALSE(
+              validEverywhere(*P, B.withDim(D, {Dim.Lo - 1, Dim.Lo - 1})))
+              << "extensible downward in dim " << D << ": " << P->str()
+              << " " << B.str();
+        }
+      }
+    }
+  }
+  // The sweep must exercise the grower, not only empty regions.
+  EXPECT_GE(Grown, 90u);
+}
+
+TEST(Optimize, GrowerRemembersOnlyCounterexamplesThePointAnswerConfirms) {
+  // The first probe right of the seed is the unit box at (1, 0), whose box
+  // answer says False although (1, 0) is valid. Its "counterexample" must
+  // not be remembered: once the box has grown to column x = 0, the slab
+  // [1,1]×[0,7] holds (1, 0) and must still be searched (and charged),
+  // which finds it valid and lets the box grow to the whole bounds.
+  LyingAtOneZero Valid;
+  PredicateRef Seed = inBoxPredicate(Box::point({0, 0}));
+  const Box Bounds({{0, 7}, {0, 7}});
+  GrowerConfig Config;
+  Config.Objective = GrowObjective::Volume;
+  Config.Restarts = 1;
+  SolverBudget Budget;
+  GrowResult R = growMaximalBox(Valid, *Seed, Bounds, Config, Budget);
+  ASSERT_TRUE(R.Best.has_value());
+  EXPECT_EQ(*R.Best, Bounds);
+  EXPECT_GE(Valid.HonestProbes, 1u);
 }
