@@ -5,6 +5,7 @@
 #include "support/Rng.h"
 
 #include <algorithm>
+#include <optional>
 
 using namespace anosy;
 
@@ -45,6 +46,50 @@ int64_t doubledUpTo(int64_t X, int64_t Limit) {
   return X > Limit / 2 ? Limit : X * 2;
 }
 
+/// What one growMaximalBox call has proved about its validity predicate,
+/// so a slab probe can be answered without a search (DESIGN.md §13, "The
+/// grower reuses its own answers"). Every answer it gives is the one a
+/// complete checkForall would give, provided box evaluation is sound with
+/// respect to evalPoint: a slab holding a point that evalPoint rejects
+/// cannot be valid, and a slab inside a box whose every point is valid
+/// cannot be invalid. So the grow decisions, and every artifact, are
+/// exactly those of the search; only the node count drops.
+class GrowMemo {
+public:
+  /// Counterexamples kept, newest last; a full memo forgets its oldest.
+  /// A memory cap, not a tuning knob: no grow of the ads tenants or of
+  /// the corpus modules stores more than 49, and no hit there is older
+  /// than 41 entries.
+  static constexpr size_t MaxInvalidPoints = 128;
+
+  /// The known answer to "is every point of \p Slab valid?", if any.
+  std::optional<bool> slabValid(const Box &Slab) const {
+    for (const Box &B : ValidBoxes)
+      if (Slab.subsetOf(B))
+        return true;
+    for (auto It = InvalidPoints.rbegin(); It != InvalidPoints.rend(); ++It)
+      if (Slab.contains(*It))
+        return false;
+    return std::nullopt;
+  }
+
+  /// Records \p P, which evalPoint has rejected. A box answer alone is
+  /// not trusted here: the tape saturates at the int64 rails, where point
+  /// arithmetic overflows instead, so the two can disagree there.
+  void addInvalidPoint(Point P) {
+    if (InvalidPoints.size() == MaxInvalidPoints)
+      InvalidPoints.erase(InvalidPoints.begin());
+    InvalidPoints.push_back(std::move(P));
+  }
+
+  /// Records \p B, every point of which is valid.
+  void addValidBox(const Box &B) { ValidBoxes.push_back(B); }
+
+private:
+  std::vector<Point> InvalidPoints;
+  std::vector<Box> ValidBoxes;
+};
+
 /// Largest extension of \p Cur's dimension \p D by a slab on side \p Upper
 /// that keeps every new point valid. Returns the new interval for D.
 /// Uses exponential probing then binary refinement; each probe checks only
@@ -52,7 +97,7 @@ int64_t doubledUpTo(int64_t X, int64_t Limit) {
 /// slab is antitone in its size).
 Interval extendSide(const Predicate &Valid, const Box &Cur, size_t D,
                     bool Upper, const Interval &Limit, int64_t MaxStep,
-                    SolverBudget &Budget, bool &Exhausted) {
+                    GrowMemo &Memo, SolverBudget &Budget, bool &Exhausted) {
   const Interval &CurD = Cur.dim(D);
   if (Upper ? CurD.Hi >= Limit.Hi : CurD.Lo <= Limit.Lo)
     return CurD;
@@ -64,9 +109,14 @@ Interval extendSide(const Predicate &Valid, const Box &Cur, size_t D,
   auto SlabValid = [&](int64_t Steps) {
     Interval SlabD = Upper ? Interval{CurD.Hi + 1, CurD.Hi + Steps}
                            : Interval{CurD.Lo - Steps, CurD.Lo - 1};
-    ForallResult R = checkForall(Valid, Cur.withDim(D, SlabD), Budget);
+    Box Slab = Cur.withDim(D, SlabD);
+    if (std::optional<bool> Known = Memo.slabValid(Slab))
+      return *Known;
+    ForallResult R = checkForall(Valid, Slab, Budget);
     if (R.Exhausted)
       Exhausted = true;
+    else if (!R.Holds && !Valid.evalPoint(*R.CounterExample))
+      Memo.addInvalidPoint(std::move(*R.CounterExample));
     return R.Holds;
   };
 
@@ -98,8 +148,8 @@ Interval extendSide(const Predicate &Valid, const Box &Cur, size_t D,
 /// schedule (per-round extension capped at the current width) versus full
 /// greedy per-dimension extension.
 Box growFrom(const Predicate &Valid, const Point &SeedPoint,
-             const Box &Bounds, bool Capped, SolverBudget &Budget,
-             bool &Exhausted) {
+             const Box &Bounds, bool Capped, GrowMemo &Memo,
+             SolverBudget &Budget, bool &Exhausted) {
   Box Cur = Box::point(SeedPoint);
   size_t N = Cur.arity();
   bool Changed = true;
@@ -114,7 +164,7 @@ Box growFrom(const Predicate &Valid, const Point &SeedPoint,
       }
       for (bool Upper : {true, false}) {
         Interval NewD = extendSide(Valid, Cur, D, Upper, Bounds.dim(D),
-                                   MaxStep, Budget, Exhausted);
+                                   MaxStep, Memo, Budget, Exhausted);
         if (NewD != Cur.dim(D)) {
           Cur = Cur.withDim(D, NewD);
           Changed = true;
@@ -161,6 +211,7 @@ GrowResult anosy::growMaximalBox(const Predicate &Valid, const Predicate &Seed,
   bool Capped = Config.Objective != GrowObjective::Volume;
 
   std::vector<Box> Candidates;
+  GrowMemo Memo;
   for (unsigned R = 0; R != Restarts; ++R) {
     // Fault-injection site: an abandoned restart reports as an exhausted
     // search, so the degradation machinery upstream (retry, then the
@@ -177,12 +228,16 @@ GrowResult anosy::growMaximalBox(const Predicate &Valid, const Predicate &Seed,
     if (!W.Witness)
       break; // The seed region is empty; later restarts won't differ.
     bool GrowExhausted = false;
-    Box Grown = growFrom(Valid, *W.Witness, Bounds, Capped, Budget,
+    Box Grown = growFrom(Valid, *W.Witness, Bounds, Capped, Memo, Budget,
                          GrowExhausted);
     if (GrowExhausted) {
       Result.Exhausted = true;
       break;
     }
+    // Every slab the box grew by was proved valid. The seed point was
+    // only searched with Seed, which need not imply Valid.
+    if (Valid.evalPoint(*W.Witness))
+      Memo.addValidBox(Grown);
     // Skip duplicates of earlier restarts.
     bool Duplicate = false;
     for (const Box &C : Candidates)
@@ -257,7 +312,7 @@ BoundResult anosy::tightBoundingBox(const Predicate &P, const Box &Bounds,
         return Result;
       }
       if (E.Witness)
-        Hi = Mid;
+        Hi = (*E.Witness)[D]; // In [Lo, Mid]: nothing satisfies below Lo.
       else
         Lo = Mid + 1;
     }
@@ -275,7 +330,7 @@ BoundResult anosy::tightBoundingBox(const Predicate &P, const Box &Bounds,
         return Result;
       }
       if (E.Witness)
-        Lo = Mid;
+        Lo = (*E.Witness)[D]; // In [Mid, Hi]: nothing satisfies above Hi.
       else
         Hi = Mid - 1;
     }

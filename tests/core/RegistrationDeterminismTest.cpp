@@ -126,7 +126,7 @@ std::string overDigest(const BenchmarkProblem &P, bool Powerset) {
 TEST(RegistrationDeterminism, ColdSolverNodesRepeatExactly) {
   // bench/BENCH_cache.json, "cold_solver_nodes".
   const std::map<std::string, uint64_t> Committed = {
-      {"B1", 490}, {"B2", 2398}, {"B3", 433}, {"B4", 3156}, {"B5", 865}};
+      {"B1", 165}, {"B2", 967}, {"B3", 137}, {"B4", 1162}, {"B5", 398}};
   for (const BenchmarkProblem &P : mardzielBenchmarks()) {
     auto Want = Committed.find(P.Id);
     ASSERT_NE(Want, Committed.end()) << P.Id;
@@ -138,11 +138,11 @@ TEST(RegistrationDeterminism, ColdSolverNodesRepeatExactly) {
 }
 
 TEST(RegistrationDeterminism, AdsTenantSolverNodesRepeatExactly) {
-  // Recorded with per-call split-hint collection and vector-backed
-  // boxes; how hints are stored or boxes are laid out must not move a
-  // single split.
-  const uint64_t Committed[] = {11906, 11346, 11717, 12423,
-                                11261, 10894, 11845, 11129};
+  // Recorded with the grower's per-grow memo of counterexamples and
+  // proved-valid boxes; how hints are stored or boxes are laid out must
+  // not move a single split.
+  const uint64_t Committed[] = {5019, 5143, 4778, 5251,
+                                4317, 4634, 5059, 4752};
   for (unsigned T = 0; T != 8; ++T) {
     uint64_t First = registerAdsTenant(T).SolverNodes;
     EXPECT_EQ(First, registerAdsTenant(T).SolverNodes) << "tenant " << T;
@@ -189,6 +189,7 @@ TEST(RegistrationDeterminism, BenchmarkArtifactsMatchGoldenDigests) {
 }
 
 TEST(RegistrationDeterminism, AdsTenantKnowledgeBasesMatchGoldenDigests) {
+  // Recorded with the golden benchmark digests above.
   const char *Golden[] = {"db0abdb67e217674", "30c085781b66f1d0",
                           "f6b124bab2552bfb", "6f1ca7f61303608c",
                           "a2b7309530a20742", "9d08d3b440c631b3",

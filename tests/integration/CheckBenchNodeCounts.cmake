@@ -1,11 +1,17 @@
-# Solver-counter drift gate. Runs the three throughput benches once in a
-# scratch directory and requires every sample's "nodes" to equal the
-# committed bench/BENCH_throughput_<name>.json. Node counts are a pure
-# function of the inputs (registration is serial), so any difference means
-# a change moved a split or a budget charge. Wall time is not compared.
+# Solver-counter drift gate. Runs the benches that report deterministic
+# work counters once in a scratch directory and requires every counter to
+# equal the committed bench/BENCH_*.json:
+#   fig5a/fig5b/table1  "nodes" of every sample;
+#   cache_economics     "cold_solver_nodes", "warm_verify_nodes";
+#   lint_admission      "nodes_unseeded", "nodes_seeded",
+#                       "admission_nodes_saved".
+# Node counts are a pure function of the inputs (registration is serial),
+# so any difference means a change moved a split or a budget charge. Wall
+# time is not compared.
 # Run via:  ctest -R bench_node_counts_match
 cmake_minimum_required(VERSION 3.19) # string(JSON)
-foreach(var FIG5A FIG5B TABLE1 BENCH_DIR WORK_DIR)
+foreach(var FIG5A FIG5B TABLE1 CACHE_ECONOMICS LINT_ADMISSION BENCH_DIR
+            WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "pass -D${var}=...")
   endif()
@@ -14,39 +20,55 @@ endforeach()
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 
-# "name" -> "nodes" of every sample in \p json, as a list of name=nodes.
-function(sample_nodes json out)
-  string(JSON count LENGTH "${json}" samples)
+# "<id>=<field>:<value>" for every element of the array \p array of
+# \p json (identified by its \p id_key member) and every member named in
+# \p fields, as a list.
+function(counters json array id_key fields out)
+  string(JSON count LENGTH "${json}" ${array})
   set(pairs "")
   math(EXPR last "${count} - 1")
   foreach(i RANGE ${last})
-    string(JSON name GET "${json}" samples ${i} name)
-    string(JSON nodes GET "${json}" samples ${i} nodes)
-    list(APPEND pairs "${name}=${nodes}")
+    string(JSON id GET "${json}" ${array} ${i} ${id_key})
+    foreach(field IN LISTS fields)
+      string(JSON value GET "${json}" ${array} ${i} ${field})
+      list(APPEND pairs "${id}=${field}:${value}")
+    endforeach()
   endforeach()
   set(${out} "${pairs}" PARENT_SCOPE)
 endfunction()
 
-foreach(bench fig5a fig5b table1)
-  string(TOUPPER ${bench} var)
+# Runs \p exe with \p runs in WORK_DIR and compares the counters of the
+# artifact it writes against the committed copy.
+function(check_artifact exe runs artifact array id_key fields)
   execute_process(
-    COMMAND ${${var}} --runs 1
+    COMMAND ${exe} --runs ${runs}
     WORKING_DIRECTORY ${WORK_DIR}
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${bench}: exit ${rc}\n${out}\n${err}")
+    message(FATAL_ERROR "${exe}: exit ${rc}\n${out}\n${err}")
   endif()
-  set(artifact BENCH_throughput_${bench}.json)
   file(READ ${WORK_DIR}/${artifact} fresh)
   file(READ ${BENCH_DIR}/${artifact} committed)
-  sample_nodes("${fresh}" got)
-  sample_nodes("${committed}" want)
+  counters("${fresh}" ${array} ${id_key} "${fields}" got)
+  counters("${committed}" ${array} ${id_key} "${fields}" want)
   if(NOT got STREQUAL want)
     message(FATAL_ERROR
       "${artifact}: solver node counts drifted\n"
       "  committed: ${want}\n  this build: ${got}")
   endif()
   message(STATUS "${artifact}: ${got}")
+endfunction()
+
+foreach(bench fig5a fig5b table1)
+  string(TOUPPER ${bench} var)
+  check_artifact(${${var}} 1 BENCH_throughput_${bench}.json
+                 samples name nodes)
 endforeach()
+# Three runs: cache_economics also exits 1 when its warm/cold latency bar
+# fails, and a median of three keeps one scheduling hiccup from doing so.
+check_artifact(${CACHE_ECONOMICS} 3 BENCH_cache.json samples problem
+               "cold_solver_nodes;warm_verify_nodes")
+check_artifact(${LINT_ADMISSION} 1 BENCH_static_analysis.json problems id
+               "nodes_unseeded;nodes_seeded;admission_nodes_saved")
