@@ -276,14 +276,28 @@ Box IntervalRefiner::narrowInt(const Expr &E, Interval Target, Box B) const {
   ANOSY_UNREACHABLE("narrowInt on boolean-sorted expression");
 }
 
+NormalizedQuery anosy::normalizeQuery(const ExprRef &Query) {
+  assert(Query && Query->isBoolSorted() &&
+         "normalizeQuery needs a boolean query");
+  NormalizedQuery Q;
+  Q.Simplified = simplify(Query);
+  Q.NNFTrue = toNNF(Q.Simplified);
+  Q.NNFFalse = toNNF(notOf(Q.Simplified));
+  return Q;
+}
+
 BranchPosteriors anosy::branchPosteriors(const ExprRef &Query,
                                          const Box &Prior,
                                          unsigned MaxRounds) {
   assert(Query && Query->isBoolSorted() &&
          "branchPosteriors needs a boolean query");
+  return branchPosteriors(normalizeQuery(Query), Prior, MaxRounds);
+}
+
+BranchPosteriors anosy::branchPosteriors(const NormalizedQuery &Q,
+                                         const Box &Prior,
+                                         unsigned MaxRounds) {
   IntervalRefiner Refiner(MaxRounds);
-  ExprRef Simplified = simplify(Query);
-  ExprRef NNFTrue = toNNF(Simplified);
-  ExprRef NNFFalse = toNNF(notOf(Simplified));
-  return {Refiner.refine(*NNFTrue, Prior), Refiner.refine(*NNFFalse, Prior)};
+  return {Refiner.refine(*Q.NNFTrue, Prior),
+          Refiner.refine(*Q.NNFFalse, Prior)};
 }

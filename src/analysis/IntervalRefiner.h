@@ -69,11 +69,27 @@ struct BranchPosteriors {
   Box FalsePosterior;
 };
 
-/// Normalizes \p Query (simplify, then NNF — separately for the query and
-/// its negation) and refines both answer branches over \p Prior. This is
-/// the entry point the leakage analyzer and the solver-seeding path use;
+/// A query in the form the branch refiners take: simplified, then in NNF
+/// once per answer branch.
+struct NormalizedQuery {
+  ExprRef Simplified;
+  ExprRef NNFTrue;  ///< NNF of the query.
+  ExprRef NNFFalse; ///< NNF of its negation.
+};
+
+/// Normalizes the boolean-sorted \p Query (simplify, then NNF — separately
+/// for the query and its negation).
+NormalizedQuery normalizeQuery(const ExprRef &Query);
+
+/// Normalizes \p Query and refines both answer branches over \p Prior;
 /// \p Query may be any boolean-sorted expression of the §5.1 fragment.
 BranchPosteriors branchPosteriors(const ExprRef &Query, const Box &Prior,
+                                  unsigned MaxRounds = 6);
+
+/// Refines both answer branches of the normalized \p Q over \p Prior:
+/// the leakage analyzer normalizes each query once and passes the same
+/// \p Q to both of its tiers and to its sequence pass.
+BranchPosteriors branchPosteriors(const NormalizedQuery &Q, const Box &Prior,
                                   unsigned MaxRounds = 6);
 
 } // namespace anosy

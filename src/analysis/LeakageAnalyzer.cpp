@@ -2,7 +2,6 @@
 
 #include "analysis/LeakageAnalyzer.h"
 
-#include "expr/Simplify.h"
 #include "obs/Instrument.h"
 
 using namespace anosy;
@@ -102,21 +101,24 @@ unsigned ModuleAnalysis::count(LintSeverity S) const {
   return N;
 }
 
-QueryAnalysis anosy::analyzeQueryBranches(const Schema &S,
-                                          const std::string &Name,
-                                          const ExprRef &Body,
-                                          const LintOptions &Options) {
+namespace {
+
+/// analyzeQueryBranches on a query normalized once: both tiers and the
+/// feature pass share \p Q, and the octagon tier starts from tier 1's
+/// posteriors instead of recomputing them.
+QueryAnalysis analyzeNormalized(const Schema &S, const std::string &Name,
+                                const NormalizedQuery &Q,
+                                const LintOptions &Options) {
   QueryAnalysis QA;
   QA.Name = Name;
   // Features on the NNF form: ⇒ and ¬ are connective sugar the abstract
   // pass never sees, so admission verdicts must not depend on them either.
-  QA.Features = analyzeQuery(*toNNF(simplify(Body)));
+  QA.Features = analyzeQuery(*Q.NNFTrue);
 
   // Tier 1 (always): the interval refiner, the cheap path every query
   // takes. Its verdicts stand on their own — escalation never reopens a
   // concluded query, it only sharpens inconclusive ones.
-  Box Prior = Box::top(S);
-  BranchPosteriors P = branchPosteriors(Body, Prior, Options.NarrowRounds);
+  BranchPosteriors P = branchPosteriors(Q, Box::top(S), Options.NarrowRounds);
   QA.TruePosterior = P.TruePosterior;
   QA.FalsePosterior = P.FalsePosterior;
   QA.TrueCardBound = P.TruePosterior.volume();
@@ -135,7 +137,7 @@ QueryAnalysis anosy::analyzeQueryBranches(const Schema &S,
                    QA.Features.Relational);
   if (Escalate) {
     RelationalPosteriors RP =
-        relationalBranchPosteriors(Body, Prior, Options.NarrowRounds);
+        relationalBranchPosteriors(Q, P, Options.NarrowRounds);
     QA.Tier = DomainTier::Octagon;
     QA.TruePosterior = RP.True.BoxPosterior;
     QA.FalsePosterior = RP.False.BoxPosterior;
@@ -170,8 +172,6 @@ QueryAnalysis anosy::analyzeQueryBranches(const Schema &S,
     QA.Verdict = LintVerdict::RelationalHotspot;
   return QA;
 }
-
-namespace {
 
 /// The per-query diagnostics for one analyzed query (no diagnostic for
 /// Clean verdicts).
@@ -243,14 +243,16 @@ void appendQueryDiagnostics(const QueryAnalysis &QA, const LintOptions &Opt,
 /// knowledge box. If the chain pins the secret to ≤ k candidates, a real
 /// answer path exists along which Fig. 2's monitor must start refusing —
 /// worth a warning at module-review time.
-void sequencePass(const Module &M, const ModuleAnalysis &MA,
-                  const LintOptions &Opt,
+/// \p Forms holds normalizeQuery of each query of \p M, in order.
+void sequencePass(const Module &M, const std::vector<NormalizedQuery> &Forms,
+                  const ModuleAnalysis &MA, const LintOptions &Opt,
                   std::vector<LintDiagnostic> &Out) {
   if (Opt.MinSize < 0)
     return;
   Box Knowledge = Box::top(M.schema());
   std::string Path;
-  for (const QueryDef &Q : M.queries()) {
+  for (size_t I = 0; I != M.queries().size(); ++I) {
+    const QueryDef &Q = M.queries()[I];
     const QueryAnalysis *QA = MA.find(Q.Name);
     // Statically-rejected and constant queries never update knowledge
     // under a min-size policy: the monitor refuses them (one posterior
@@ -258,7 +260,7 @@ void sequencePass(const Module &M, const ModuleAnalysis &MA,
     if (QA != nullptr && (QA->RejectStatically || QA->SkipSynthesis))
       continue;
     BranchPosteriors P =
-        branchPosteriors(Q.Body, Knowledge, Opt.NarrowRounds);
+        branchPosteriors(Forms[I], Knowledge, Opt.NarrowRounds);
     Box Next;
     bool Answer;
     if (P.TruePosterior.isEmpty()) {
@@ -300,21 +302,31 @@ void sequencePass(const Module &M, const ModuleAnalysis &MA,
 
 } // namespace
 
+QueryAnalysis anosy::analyzeQueryBranches(const Schema &S,
+                                          const std::string &Name,
+                                          const ExprRef &Body,
+                                          const LintOptions &Options) {
+  return analyzeNormalized(S, Name, normalizeQuery(Body), Options);
+}
+
 ModuleAnalysis anosy::analyzeModule(const Module &M,
                                     const LintOptions &Options) {
   ANOSY_OBS_SPAN(Span, "anosy.lint.module");
   ModuleAnalysis MA;
   size_t Rejected = 0;
+  std::vector<NormalizedQuery> Forms;
+  Forms.reserve(M.queries().size());
   for (const QueryDef &Q : M.queries()) {
+    Forms.push_back(normalizeQuery(Q.Body));
     QueryAnalysis QA =
-        analyzeQueryBranches(M.schema(), Q.Name, Q.Body, Options);
+        analyzeNormalized(M.schema(), Q.Name, Forms.back(), Options);
     appendQueryDiagnostics(QA, Options, MA.Diagnostics);
     if (QA.RejectStatically)
       ++Rejected;
     MA.Queries.push_back(std::move(QA));
   }
   if (Options.SequencePass)
-    sequencePass(M, MA, Options, MA.Diagnostics);
+    sequencePass(M, Forms, MA, Options, MA.Diagnostics);
   ANOSY_OBS_SPAN_ARG(Span, "queries", MA.Queries.size());
   ANOSY_OBS_SPAN_ARG(Span, "diagnostics", MA.Diagnostics.size());
   ANOSY_OBS_SPAN_ARG(Span, "static_rejections", Rejected);

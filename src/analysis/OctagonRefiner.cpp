@@ -4,7 +4,6 @@
 
 #include "analysis/IntervalRefiner.h"
 #include "expr/Analysis.h"
-#include "expr/Simplify.h"
 
 #include <optional>
 #include <utility>
@@ -167,46 +166,76 @@ std::optional<LinAbs> linearize(const Expr &E, size_t Arity) {
   ANOSY_UNREACHABLE("linearize on boolean-sorted expression");
 }
 
-/// Adds the pure-linear constraint Σ F.Coef·x ≤ −F.Const to \p O when it
-/// is octagon-expressible (coefficients in {−1,0,1}, ≤ 2 fields); returns
-/// \p O unchanged otherwise. Expects a closed \p O and returns a closed
-/// octagon: the re-close runs only when the constraint strictly tightened
-/// an entry, so a fixpoint round that re-applies already-absorbed atoms
-/// costs no cubic closure.
-Octagon applyLinear(Octagon O, const LinForm &F) {
-  std::vector<std::pair<size_t, int>> Terms;
+/// One half-plane Σ F.Coef·x ≤ −F.Const as an octagon constraint. Kind
+/// None is a half-plane the octagon cannot express (coefficients outside
+/// {−1,0,1}, more than two fields, or a bound weaker than any int64 one):
+/// skipping it is sound.
+struct OctConstraint {
+  enum class Kind { None, Empty, Upper, Lower, SumUpper, SumLower, DiffUpper };
+  Kind K = Kind::None;
+  size_t F1 = 0, F2 = 0;
+  int64_t Bound = 0;
+};
+
+OctConstraint toOctConstraint(const LinForm &F) {
+  using Kind = OctConstraint::Kind;
+  std::pair<size_t, int> Terms[2];
+  size_t NTerms = 0;
   for (size_t Fld = 0; Fld != F.Coef.size(); ++Fld) {
     if (F.Coef[Fld] == 0)
       continue;
-    if ((F.Coef[Fld] != 1 && F.Coef[Fld] != -1) || Terms.size() == 2)
-      return O;
-    Terms.push_back({Fld, F.Coef[Fld] == 1 ? 1 : -1});
+    if ((F.Coef[Fld] != 1 && F.Coef[Fld] != -1) || NTerms == 2)
+      return {};
+    Terms[NTerms++] = {Fld, F.Coef[Fld] == 1 ? 1 : -1};
   }
   __int128 Rhs = -F.Const;
-  if (Terms.empty())
-    return Rhs < 0 ? Octagon::bottom(O.arity()) : O;
+  if (NTerms == 0)
+    return {Rhs < 0 ? Kind::Empty : Kind::None};
   if (Rhs > INT64_MAX)
-    return O; // weaker than any expressible bound; skipping is sound
+    return {}; // weaker than any expressible bound; skipping is sound
   int64_t R = Rhs < INT64_MIN ? INT64_MIN : static_cast<int64_t>(Rhs);
+  int64_t NegR = R == INT64_MIN ? INT64_MAX : -R;
+  auto [F1, S1] = Terms[0];
+  if (NTerms == 1)
+    return S1 > 0 ? OctConstraint{Kind::Upper, F1, 0, R}   // x ≤ R
+                  : OctConstraint{Kind::Lower, F1, 0, NegR}; // x ≥ −R
+  auto [F2, S2] = Terms[1];
+  if (S1 > 0 && S2 > 0)
+    return {Kind::SumUpper, F1, F2, R};
+  if (S1 > 0)
+    return {Kind::DiffUpper, F1, F2, R};
+  if (S2 > 0)
+    return {Kind::DiffUpper, F2, F1, R};
+  return {Kind::SumLower, F1, F2, NegR};
+}
+
+/// Adds \p C to \p O. Expects a closed \p O and returns a closed
+/// octagon: the re-close runs only when the constraint strictly tightened
+/// an entry, so a fixpoint round that re-applies already-absorbed atoms
+/// costs no cubic closure.
+Octagon applyConstraint(Octagon O, const OctConstraint &C) {
+  using Kind = OctConstraint::Kind;
   bool Tightened = false;
-  if (Terms.size() == 1) {
-    auto [Fld, S] = Terms[0];
-    if (S > 0)
-      Tightened = O.addUpperBound(Fld, R); // x ≤ R
-    else
-      Tightened =
-          O.addLowerBound(Fld, R == INT64_MIN ? INT64_MAX : -R); // x ≥ −R
-  } else {
-    auto [F1, S1] = Terms[0];
-    auto [F2, S2] = Terms[1];
-    if (S1 > 0 && S2 > 0)
-      Tightened = O.addSumUpper(F1, F2, R);
-    else if (S1 > 0)
-      Tightened = O.addDiffUpper(F1, F2, R);
-    else if (S2 > 0)
-      Tightened = O.addDiffUpper(F2, F1, R);
-    else
-      Tightened = O.addSumLower(F1, F2, R == INT64_MIN ? INT64_MAX : -R);
+  switch (C.K) {
+  case Kind::None:
+    return O;
+  case Kind::Empty:
+    return Octagon::bottom(O.arity());
+  case Kind::Upper:
+    Tightened = O.addUpperBound(C.F1, C.Bound);
+    break;
+  case Kind::Lower:
+    Tightened = O.addLowerBound(C.F1, C.Bound);
+    break;
+  case Kind::SumUpper:
+    Tightened = O.addSumUpper(C.F1, C.F2, C.Bound);
+    break;
+  case Kind::SumLower:
+    Tightened = O.addSumLower(C.F1, C.F2, C.Bound);
+    break;
+  case Kind::DiffUpper:
+    Tightened = O.addDiffUpper(C.F1, C.F2, C.Bound);
+    break;
   }
   if (Tightened)
     O.close();
@@ -227,35 +256,41 @@ LinForm composeLinear(const LinForm &Base,
   return F;
 }
 
-/// Refines \p O by the constraint L ≤ 0, expanding absolute values by
-/// sign: positive-coefficient |t| conjunctively (every sign must hold),
-/// negative-coefficient |t| disjunctively (refine per sign and join).
-Octagon applyLE(const LinAbs &L, Octagon O) {
-  std::vector<const AbsTerm *> Pos, Ng;
-  for (const AbsTerm &T : L.Abs) {
-    if (T.Coef > 0)
-      Pos.push_back(&T);
-    else if (T.Coef < 0)
-      Ng.push_back(&T);
-  }
-  if (Pos.size() + Ng.size() > 4)
-    return O; // 2^k expansion cap; skipping the atom is sound
-  for (unsigned SP = 0; SP != (1u << Pos.size()); ++SP) {
-    if (O.isEmpty())
-      return O;
-    if (Ng.empty()) {
-      O = applyLinear(std::move(O), composeLinear(L.Lin, Pos, SP, Ng, 0));
-      continue;
-    }
-    Octagon Acc = Octagon::bottom(O.arity());
-    for (unsigned SN = 0; SN != (1u << Ng.size()); ++SN)
-      Acc = Acc.join(applyLinear(O, composeLinear(L.Lin, Pos, SP, Ng, SN)));
-    O = std::move(Acc);
-  }
-  return O;
-}
-
 } // namespace
+
+/// One comparison atom as the refiner applies it: a sequence of steps,
+/// each the join of its alternatives (a single alternative is a plain
+/// meet). Built once per atom and polarity, so the fixpoint rounds only
+/// apply octagon constraints.
+struct OctagonRefiner::LinearAtom {
+  std::vector<std::vector<OctConstraint>> Steps;
+
+  /// Appends the steps of the constraint L ≤ 0, expanding absolute values
+  /// by sign: positive-coefficient |t| conjunctively (every sign must
+  /// hold, one step each), negative-coefficient |t| disjunctively (the
+  /// alternatives of a step, joined).
+  void addLE(const LinAbs &L) {
+    std::vector<const AbsTerm *> Pos, Ng;
+    for (const AbsTerm &T : L.Abs) {
+      if (T.Coef > 0)
+        Pos.push_back(&T);
+      else if (T.Coef < 0)
+        Ng.push_back(&T);
+    }
+    if (Pos.size() + Ng.size() > 4)
+      return; // 2^k expansion cap; skipping the atom is sound
+    for (unsigned SP = 0; SP != (1u << Pos.size()); ++SP) {
+      std::vector<OctConstraint> Step;
+      for (unsigned SN = 0; SN != (1u << Ng.size()); ++SN)
+        Step.push_back(toOctConstraint(composeLinear(L.Lin, Pos, SP, Ng, SN)));
+      Steps.push_back(std::move(Step));
+    }
+  }
+};
+
+OctagonRefiner::OctagonRefiner(unsigned MaxRounds) : MaxRounds(MaxRounds) {}
+
+OctagonRefiner::~OctagonRefiner() = default;
 
 Octagon OctagonRefiner::refine(const Expr &E, const Octagon &Prior) const {
   Octagon Cur = Prior;
@@ -277,14 +312,11 @@ Octagon OctagonRefiner::refineOnce(const Expr &E, Octagon O) const {
   case ExprKind::BoolConst:
     return E.boolValue() ? O : Octagon::bottom(O.arity());
   case ExprKind::Cmp:
-    return refineCmp(E.cmpOp(), *E.operand(0), *E.operand(1), std::move(O));
+    return refineCmp(E, /*Negated=*/false, std::move(O));
   case ExprKind::Not:
     // NNF admits ¬ only above atoms; accept that shape defensively.
-    if (E.operand(0)->kind() == ExprKind::Cmp) {
-      const Expr &A = *E.operand(0);
-      return refineCmp(cmpOpNegation(A.cmpOp()), *A.operand(0),
-                       *A.operand(1), std::move(O));
-    }
+    if (E.operand(0)->kind() == ExprKind::Cmp)
+      return refineCmp(*E.operand(0), /*Negated=*/true, std::move(O));
     if (E.operand(0)->kind() == ExprKind::BoolConst)
       return E.operand(0)->boolValue() ? Octagon::bottom(O.arity()) : O;
     return O; // sound no-op on unexpected shapes
@@ -321,12 +353,16 @@ Octagon OctagonRefiner::refineOnce(const Expr &E, Octagon O) const {
   ANOSY_UNREACHABLE("refineOnce on integer-sorted expression");
 }
 
-Octagon OctagonRefiner::refineCmp(CmpOp Op, const Expr &A, const Expr &B,
-                                  Octagon O) const {
-  auto LA = linearize(A, O.arity());
-  auto LB = linearize(B, O.arity());
+const OctagonRefiner::LinearAtom &
+OctagonRefiner::linearAtom(const Expr &Cmp, bool Negated, size_t Arity) const {
+  std::unique_ptr<LinearAtom> &Slot = Atoms[{&Cmp, Negated}];
+  if (Slot)
+    return *Slot;
+  Slot = std::make_unique<LinearAtom>();
+  auto LA = linearize(*Cmp.operand(0), Arity);
+  auto LB = linearize(*Cmp.operand(1), Arity);
   if (!LA || !LB)
-    return O;
+    return *Slot;
   // L = A − B, so the atom reads L ⋈ 0.
   LinAbs L = std::move(*LA);
   addLin(L.Lin, LB->Lin, -1);
@@ -335,33 +371,54 @@ Octagon OctagonRefiner::refineCmp(CmpOp Op, const Expr &A, const Expr &B,
     L.Abs.push_back(std::move(T));
   }
   if (!linAbsInBounds(L))
-    return O;
-  auto Negated = [](LinAbs N) {
+    return *Slot;
+  auto Negate = [](LinAbs N) {
     scaleLinAbs(N, -1);
     return N;
   };
-  switch (Op) {
+  switch (Negated ? cmpOpNegation(Cmp.cmpOp()) : Cmp.cmpOp()) {
   case CmpOp::LE:
-    return applyLE(L, std::move(O));
+    Slot->addLE(L);
+    break;
   case CmpOp::LT:
     L.Lin.Const += 1; // L < 0 ⟺ L + 1 ≤ 0 over the integers
-    return applyLE(L, std::move(O));
+    Slot->addLE(L);
+    break;
   case CmpOp::GE:
-    return applyLE(Negated(std::move(L)), std::move(O));
+    Slot->addLE(Negate(std::move(L)));
+    break;
   case CmpOp::GT: {
-    LinAbs M = Negated(std::move(L));
+    LinAbs M = Negate(std::move(L));
     M.Lin.Const += 1;
-    return applyLE(M, std::move(O));
+    Slot->addLE(M);
+    break;
   }
   case CmpOp::EQ:
-    O = applyLE(L, std::move(O));
+    Slot->addLE(L);
+    Slot->addLE(Negate(std::move(L)));
+    break;
+  case CmpOp::NE:
+    break; // a punctured octagon is not an octagon; no-op is sound
+  }
+  return *Slot;
+}
+
+Octagon OctagonRefiner::refineCmp(const Expr &Cmp, bool Negated,
+                                  Octagon O) const {
+  for (const std::vector<OctConstraint> &Step :
+       linearAtom(Cmp, Negated, O.arity()).Steps) {
     if (O.isEmpty())
       return O;
-    return applyLE(Negated(std::move(L)), std::move(O));
-  case CmpOp::NE:
-    return O; // a punctured octagon is not an octagon; no-op is sound
+    if (Step.size() == 1) {
+      O = applyConstraint(std::move(O), Step.front());
+      continue;
+    }
+    Octagon Acc = Octagon::bottom(O.arity());
+    for (const OctConstraint &C : Step)
+      Acc = Acc.join(applyConstraint(O, C));
+    O = std::move(Acc);
   }
-  ANOSY_UNREACHABLE("unknown comparison operator");
+  return O;
 }
 
 RelationalPosteriors anosy::relationalBranchPosteriors(const ExprRef &Query,
@@ -369,21 +426,30 @@ RelationalPosteriors anosy::relationalBranchPosteriors(const ExprRef &Query,
                                                        unsigned MaxRounds) {
   assert(Query && Query->isBoolSorted() &&
          "relationalBranchPosteriors needs a boolean query");
+  NormalizedQuery Q = normalizeQuery(Query);
+  return relationalBranchPosteriors(Q, branchPosteriors(Q, Prior, MaxRounds),
+                                    MaxRounds);
+}
+
+RelationalPosteriors
+anosy::relationalBranchPosteriors(const NormalizedQuery &Q,
+                                  const BranchPosteriors &BoxTier,
+                                  unsigned MaxRounds) {
   IntervalRefiner BoxRef(MaxRounds);
+  // One refiner for both branches: it keeps each atom's linear form for
+  // the lifetime of Q's NNFs.
   OctagonRefiner OctRef(MaxRounds);
-  ExprRef Simplified = simplify(Query);
-  ExprRef NNFTrue = toNNF(Simplified);
-  ExprRef NNFFalse = toNNF(notOf(Simplified));
   // Negation flips comparison operators but never which fields an atom
   // couples, so one feature pass covers both branch NNFs.
-  bool Relational = analyzeQuery(*Simplified).Relational;
+  bool Relational = analyzeQuery(*Q.Simplified).Relational;
 
-  auto RefineBranch = [&](const Expr &E) {
+  // \p B is the box tier's posterior of the branch whose NNF is \p E.
+  auto RefineBranch = [&](const Expr &E, const Box &B) {
+    size_t Arity = B.arity();
     RelationalBranch R;
-    Box B = BoxRef.refine(E, Prior);
     if (B.isEmpty()) {
-      R.BoxPosterior = Box::bottom(Prior.arity());
-      R.OctPosterior = Octagon::bottom(Prior.arity());
+      R.BoxPosterior = Box::bottom(Arity);
+      R.OctPosterior = Octagon::bottom(Arity);
       R.CardBound = BigCount(0);
       return R;
     }
@@ -406,18 +472,18 @@ RelationalPosteriors anosy::relationalBranchPosteriors(const ExprRef &Query,
       Box B2 = O.toBox().intersect(B);
       if (B2 != B) {
         if (B2.isEmpty()) {
-          O = Octagon::bottom(Prior.arity());
+          O = Octagon::bottom(Arity);
         } else {
           Box B3 = BoxRef.refine(E, B2);
           if (B3.isEmpty())
-            O = Octagon::bottom(Prior.arity());
+            O = Octagon::bottom(Arity);
           else
             O = OctRef.refine(E, O.meet(Octagon::fromBox(B3)));
         }
       }
     }
     if (O.isEmpty()) {
-      R.BoxPosterior = Box::bottom(Prior.arity());
+      R.BoxPosterior = Box::bottom(Arity);
       R.OctPosterior = std::move(O);
       R.CardBound = BigCount(0);
       return R;
@@ -429,5 +495,6 @@ RelationalPosteriors anosy::relationalBranchPosteriors(const ExprRef &Query,
     R.CardBound = OctCard < BoxVol ? OctCard : BoxVol;
     return R;
   };
-  return {RefineBranch(*NNFTrue), RefineBranch(*NNFFalse)};
+  return {RefineBranch(*Q.NNFTrue, BoxTier.TruePosterior),
+          RefineBranch(*Q.NNFFalse, BoxTier.FalsePosterior)};
 }

@@ -36,25 +36,42 @@
 #ifndef ANOSY_ANALYSIS_OCTAGONREFINER_H
 #define ANOSY_ANALYSIS_OCTAGONREFINER_H
 
+#include "analysis/IntervalRefiner.h"
 #include "domains/Octagon.h"
 #include "expr/Expr.h"
+
+#include <map>
+#include <memory>
+#include <utility>
 
 namespace anosy {
 
 /// Sound branch-posterior refinement over NNF queries, octagon domain.
+/// A refiner normalizes each comparison atom into octagon constraints the
+/// first time it meets it and keeps them, keyed by the atom's address, so
+/// the fixpoint rounds only apply constraints. Every expression a refiner
+/// refines must therefore outlive the refiner.
 class OctagonRefiner {
 public:
-  explicit OctagonRefiner(unsigned MaxRounds = 6) : MaxRounds(MaxRounds) {}
+  explicit OctagonRefiner(unsigned MaxRounds = 6);
+  ~OctagonRefiner();
 
   /// Over-approximation of {x ∈ Prior | ⟦E⟧(x) = true} for NNF \p E.
   /// The result is closed; empty proves the branch unsatisfiable.
   Octagon refine(const Expr &E, const Octagon &Prior) const;
 
 private:
+  struct LinearAtom;
+
   Octagon refineOnce(const Expr &E, Octagon O) const;
-  Octagon refineCmp(CmpOp Op, const Expr &A, const Expr &B, Octagon O) const;
+  /// Refines by the comparison \p Cmp, or by its negation when \p Negated.
+  Octagon refineCmp(const Expr &Cmp, bool Negated, Octagon O) const;
+  const LinearAtom &linearAtom(const Expr &Cmp, bool Negated,
+                               size_t Arity) const;
 
   unsigned MaxRounds;
+  mutable std::map<std::pair<const Expr *, bool>, std::unique_ptr<LinearAtom>>
+      Atoms;
 };
 
 /// One branch of the reduced product box ⊓ octagon.
@@ -77,6 +94,14 @@ struct RelationalPosteriors {
 /// the query stays inside the corresponding branch's box AND octagon.
 RelationalPosteriors relationalBranchPosteriors(const ExprRef &Query,
                                                 const Box &Prior,
+                                                unsigned MaxRounds = 6);
+
+/// The same escalation for a query the box tier has already handled: \p Q
+/// is normalizeQuery of the query and \p BoxTier is branchPosteriors(Q,
+/// Prior, MaxRounds). Equal to the entry point above, without redoing
+/// the normalization or the interval refinement.
+RelationalPosteriors relationalBranchPosteriors(const NormalizedQuery &Q,
+                                                const BranchPosteriors &BoxTier,
                                                 unsigned MaxRounds = 6);
 
 } // namespace anosy

@@ -10,6 +10,7 @@
 #include "support/Stats.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <cstdio>
 #include <dirent.h>
@@ -291,6 +292,7 @@ std::future<ServiceResponse> MonitorDaemon::submit(ServiceRequest R) {
   }
 
   std::shared_ptr<Shard> S;
+  std::optional<Module> Parsed;
   if (R.Kind == RequestKind::Register) {
     if (R.Tenant.empty()) {
       RejectNow(ResponseStatus::Error, ReasonCode::None,
@@ -311,6 +313,7 @@ std::future<ServiceResponse> MonitorDaemon::submit(ServiceRequest R) {
                 "module rejected at the front door: " + M.error().message());
       return Fut;
     }
+    Parsed = M.takeValue();
   } else {
     S = findShard(R.Tenant);
     if (S == nullptr) {
@@ -329,6 +332,7 @@ std::future<ServiceResponse> MonitorDaemon::submit(ServiceRequest R) {
 
   WorkItem Item;
   Item.Req = std::move(R);
+  Item.Parsed = std::move(Parsed);
   Item.Id = Id;
   Item.Accepted = Accepted;
   uint64_t DeadlineMs =
@@ -506,15 +510,11 @@ void MonitorDaemon::executeItem(WorkItem Item) {
   Item.Promise.set_value(std::move(Resp));
 }
 
-ServiceResponse MonitorDaemon::executeRegister(const WorkItem &Item) {
+ServiceResponse MonitorDaemon::executeRegister(WorkItem &Item) {
   ANOSY_OBS_SPAN(Span, "anosyd.register");
   ServiceResponse Resp;
-  auto M = parseModule(Item.Req.ModuleSource);
-  if (!M) {
-    Resp.Status = ResponseStatus::Error;
-    Resp.Detail = "module parse failed: " + M.error().message();
-    return Resp;
-  }
+  // submit() parsed the module at the front door.
+  assert(Item.Parsed && "register work item without its parsed module");
 
   SessionOptions SOpt = Options.Session;
   SOpt.GracefulDegradation = true;
@@ -546,7 +546,7 @@ ServiceResponse MonitorDaemon::executeRegister(const WorkItem &Item) {
     SOpt.DeadlineMs = remainingMs(Item.Deadline);
     watchBudget(Item.Id, AbortHandle, Item.Deadline);
   }
-  auto S = AnosySession<Box>::create(std::move(*M),
+  auto S = AnosySession<Box>::create(std::move(*Item.Parsed),
                                      policyForMinSize(Item.Req.MinSize), SOpt);
   unwatchBudget(Item.Id);
   if (!S) {
@@ -598,7 +598,10 @@ ServiceResponse MonitorDaemon::executeRegister(const WorkItem &Item) {
   if (!Options.DataDir.empty()) {
     std::lock_guard<std::mutex> Lock(NewShard->ExecMu);
     NewShard->Dirty = true;
-    if (auto W = flushLocked(*NewShard); !W) {
+    // The KB holds the registration's artifacts only, which downgrades
+    // never change, so the text the quota check measured is the one to
+    // write.
+    if (auto W = flushLocked(*NewShard, &KbText); !W) {
       // Tolerated: the tenant serves from memory; the drain flush (or an
       // explicit Flush request) retries persistence.
       if (!Resp.Detail.empty())
@@ -689,14 +692,18 @@ ServiceResponse MonitorDaemon::executeFlush(const WorkItem &Item, Shard &S) {
   return Resp;
 }
 
-Result<void> MonitorDaemon::flushLocked(Shard &S) {
+Result<void> MonitorDaemon::flushLocked(Shard &S, const std::string *KbText) {
   if (S.KbPath.empty()) {
     S.Dirty = false;
     return {}; // In-memory daemon: nothing to persist.
   }
   ANOSY_OBS_SPAN(Span, "anosyd.flush");
   ANOSY_OBS_SPAN_ARG(Span, "tenant", S.Name);
-  std::string KbText = S.Session->exportKnowledgeBase();
+  std::string Exported;
+  if (KbText == nullptr) {
+    Exported = S.Session->exportKnowledgeBase();
+    KbText = &Exported;
+  }
   std::string MetaText = "min-size " + std::to_string(S.MinSize) + "\n";
   for (unsigned Attempt = 0; Attempt != std::max(1u, Options.FlushAttempts);
        ++Attempt) {
@@ -711,7 +718,7 @@ Result<void> MonitorDaemon::flushLocked(Shard &S) {
     // the destination keeps its previous valid contents.
     if (faults::armed() && faults::shouldFail(FaultSite::ServiceFlush))
       continue;
-    auto W = writeKnowledgeBaseFileAtomic(S.KbPath, KbText);
+    auto W = writeKnowledgeBaseFileAtomic(S.KbPath, *KbText);
     if (!W)
       continue; // Torn write (kb-write fault or I/O error): retry.
     if (auto WM = writeKnowledgeBaseFileAtomic(S.MetaPath, MetaText); !WM)

@@ -244,12 +244,13 @@ private:
   void workerLoop();
   void watchdogLoop();
   void executeItem(WorkItem Item);
-  ServiceResponse executeRegister(const WorkItem &Item);
+  ServiceResponse executeRegister(WorkItem &Item);
   ServiceResponse executeQuery(const WorkItem &Item, Shard &S);
   ServiceResponse executeFlush(const WorkItem &Item, Shard &S);
   /// Serializes and writes the shard's KB (+ policy sidecar) with
-  /// retry-with-backoff; caller holds S.ExecMu.
-  Result<void> flushLocked(Shard &S);
+  /// retry-with-backoff; caller holds S.ExecMu. \p KbText, when given, is
+  /// the KB the session exports, already serialized.
+  Result<void> flushLocked(Shard &S, const std::string *KbText = nullptr);
   void finishResponse(ServiceResponse &Resp, const WorkItem &Item);
 
   /// Registers a registration's abort handle with the watchdog.

@@ -24,6 +24,7 @@
 #ifndef ANOSY_SERVICE_REQUESTQUEUE_H
 #define ANOSY_SERVICE_REQUESTQUEUE_H
 
+#include "expr/Module.h"
 #include "service/Service.h"
 
 #include <chrono>
@@ -39,6 +40,8 @@ namespace anosy::service {
 /// deadline stamped at the front door (queue wait counts against it).
 struct WorkItem {
   ServiceRequest Req;
+  /// A Register request's module, parsed once at the front door.
+  std::optional<Module> Parsed;
   uint64_t Id = 0;
   std::promise<ServiceResponse> Promise;
   std::chrono::steady_clock::time_point Accepted;

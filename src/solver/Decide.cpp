@@ -120,6 +120,7 @@ ForallResult anosy::checkForall(const Predicate &P, const Box &B,
       // No point of Cur satisfies P; its center is a counterexample.
       Result.Holds = false;
       Result.CounterExample = Cur.center();
+      Result.Falsifier = std::move(Cur);
       return Result;
     }
     if (Cur.isUnit()) {

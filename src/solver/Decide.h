@@ -156,6 +156,11 @@ struct ForallResult {
   bool Holds = false;
   /// A falsifying point when !Holds.
   std::optional<Point> CounterExample;
+  /// When !Holds because a whole box evaluated False: that box, every
+  /// point of which falsifies the predicate if box evaluation is sound
+  /// (CounterExample is its center). Empty when a unit box's point check
+  /// failed instead.
+  std::optional<Box> Falsifier;
   /// Budget ran out before a decision; treat as "don't know".
   bool Exhausted = false;
 };

@@ -57,20 +57,25 @@ int64_t doubledUpTo(int64_t X, int64_t Limit) {
 class GrowMemo {
 public:
   /// Counterexamples kept, newest last; a full memo forgets its oldest.
-  /// A memory cap, not a tuning knob: no grow of the ads tenants or of
-  /// the corpus modules stores more than 49, and no hit there is older
-  /// than 41 entries.
+  /// A memory cap, not a tuning knob: no grow of the 64 serve-steady ads
+  /// tenants (seeds 1 and 7919) or of the corpus modules stores more
+  /// than 40, and no hit there is older than 32 entries.
   static constexpr size_t MaxInvalidPoints = 128;
 
-  /// The known answer to "is every point of \p Slab valid?", if any.
-  std::optional<bool> slabValid(const Box &Slab) const {
+  /// True when every point of \p Slab is known valid.
+  bool knownValid(const Box &Slab) const {
     for (const Box &B : ValidBoxes)
       if (Slab.subsetOf(B))
         return true;
+    return false;
+  }
+
+  /// A stored point of \p Slab that evalPoint rejects, newest first.
+  const Point *knownInvalidPoint(const Box &Slab) const {
     for (auto It = InvalidPoints.rbegin(); It != InvalidPoints.rend(); ++It)
       if (Slab.contains(*It))
-        return false;
-    return std::nullopt;
+        return &*It;
+    return nullptr;
   }
 
   /// Records \p P, which evalPoint has rejected. A box answer alone is
@@ -90,14 +95,25 @@ private:
   std::vector<Box> ValidBoxes;
 };
 
+/// What every slab probe of one growMaximalBox call shares.
+struct GrowContext {
+  const Predicate &Valid;
+  /// GrowerConfig::NoValidPoint.
+  const std::vector<Box> &NoValidPoint;
+  SolverBudget &Budget;
+  GrowMemo Memo;
+  bool Exhausted = false;
+};
+
 /// Largest extension of \p Cur's dimension \p D by a slab on side \p Upper
 /// that keeps every new point valid. Returns the new interval for D.
-/// Uses exponential probing then binary refinement; each probe checks only
-/// the *new* slab (the current box is already valid, and validity of a
-/// slab is antitone in its size).
-Interval extendSide(const Predicate &Valid, const Box &Cur, size_t D,
-                    bool Upper, const Interval &Limit, int64_t MaxStep,
-                    GrowMemo &Memo, SolverBudget &Budget, bool &Exhausted) {
+/// Uses exponential probing then binary refinement over the slab's depth
+/// in steps. A probe checks only the part of its slab that no earlier
+/// probe of this call proved valid: the current box is valid, and the
+/// slab of Proved steps is too, so the rest is valid iff the whole slab
+/// is (DESIGN.md §13, "Registration does not re-prove what it knows").
+Interval extendSide(GrowContext &Ctx, const Box &Cur, size_t D, bool Upper,
+                    const Interval &Limit, int64_t MaxStep) {
   const Interval &CurD = Cur.dim(D);
   if (Upper ? CurD.Hi >= Limit.Hi : CurD.Lo <= Limit.Lo)
     return CurD;
@@ -106,24 +122,81 @@ Interval extendSide(const Predicate &Valid, const Box &Cur, size_t D,
   if (MaxStep > 0)
     Room = std::min(Room, MaxStep);
 
+  // Every slab of at most Proved steps is valid; every slab of at least
+  // Refuted steps holds a point that evalPoint rejects.
+  int64_t Proved = 0;
+  int64_t Refuted = INT64_MAX;
+  // The depth of slab coordinate \p C: the steps it takes to reach it.
+  auto StepsTo = [&](int64_t C) {
+    return static_cast<int64_t>(Upper ? distance(CurD.Hi, C)
+                                      : distance(C, CurD.Lo));
+  };
+  // The point of \p B (a box inside the slab) nearest Cur's face: the
+  // shallowest candidate counterexample, so the strongest bound.
+  auto NearestPoint = [&](const Box &B) {
+    Point P = B.center();
+    P[D] = Upper ? B.dim(D).Lo : B.dim(D).Hi;
+    return P;
+  };
+  auto Refute = [&](Point P) {
+    Refuted = std::min(Refuted, StepsTo(P[D]));
+    Ctx.Memo.addInvalidPoint(std::move(P));
+  };
+
   auto SlabValid = [&](int64_t Steps) {
-    Interval SlabD = Upper ? Interval{CurD.Hi + 1, CurD.Hi + Steps}
-                           : Interval{CurD.Lo - Steps, CurD.Lo - 1};
-    Box Slab = Cur.withDim(D, SlabD);
-    if (std::optional<bool> Known = Memo.slabValid(Slab))
-      return *Known;
-    ForallResult R = checkForall(Valid, Slab, Budget);
-    if (R.Exhausted)
-      Exhausted = true;
-    else if (!R.Holds && !Valid.evalPoint(*R.CounterExample))
-      Memo.addInvalidPoint(std::move(*R.CounterExample));
-    return R.Holds;
+    if (Steps >= Refuted)
+      return false;
+    Interval OpenD = Upper ? Interval{CurD.Hi + Proved + 1, CurD.Hi + Steps}
+                           : Interval{CurD.Lo - Steps, CurD.Lo - Proved - 1};
+    Box Open = Cur.withDim(D, OpenD);
+    if (Ctx.Memo.knownValid(Open)) {
+      Proved = Steps;
+      return true;
+    }
+    if (const Point *P = Ctx.Memo.knownInvalidPoint(Open)) {
+      Refuted = std::min(Refuted, StepsTo((*P)[D]));
+      return false;
+    }
+    // A box said to hold no valid point refutes the slab it meets, but
+    // only through a point that evalPoint itself rejects.
+    std::optional<Point> Met;
+    for (const Box &X : Ctx.NoValidPoint) {
+      if (!Open.intersects(X))
+        continue;
+      Point P = NearestPoint(Open.intersect(X));
+      if ((!Met || StepsTo(P[D]) < StepsTo((*Met)[D])) &&
+          !Ctx.Valid.evalPoint(P))
+        Met = std::move(P);
+    }
+    if (Met) {
+      Refute(std::move(*Met));
+      return false;
+    }
+    ForallResult R = checkForall(Ctx.Valid, Open, Ctx.Budget);
+    if (R.Exhausted) {
+      Ctx.Exhausted = true;
+      return false;
+    }
+    if (R.Holds) {
+      Proved = Steps;
+      return true;
+    }
+    if (R.Falsifier) {
+      Point Near = NearestPoint(*R.Falsifier);
+      if (!Ctx.Valid.evalPoint(Near)) {
+        Refute(std::move(Near));
+        return false;
+      }
+    }
+    if (!Ctx.Valid.evalPoint(*R.CounterExample))
+      Refute(std::move(*R.CounterExample));
+    return false;
   };
 
   // Exponential probe: find the largest power-of-two-ish step that works.
   int64_t Good = 0;
   int64_t Probe = 1;
-  while (Probe <= Room && !Exhausted && SlabValid(Probe)) {
+  while (Probe <= Room && !Ctx.Exhausted && SlabValid(Probe)) {
     Good = Probe;
     if (Probe == Room)
       break;
@@ -133,7 +206,7 @@ Interval extendSide(const Predicate &Valid, const Box &Cur, size_t D,
     return CurD;
   // Binary refinement in (Good, min(2*Good, Room)].
   int64_t Lo = Good, Hi = doubledUpTo(Good, Room);
-  while (Lo < Hi && !Exhausted) {
+  while (Lo < Hi && !Ctx.Exhausted) {
     int64_t Mid = Lo + (Hi - Lo + 1) / 2;
     if (SlabValid(Mid))
       Lo = Mid;
@@ -147,15 +220,14 @@ Interval extendSide(const Predicate &Valid, const Box &Cur, size_t D,
 /// Grows one maximal box from \p SeedPoint. \p Capped selects the balanced
 /// schedule (per-round extension capped at the current width) versus full
 /// greedy per-dimension extension.
-Box growFrom(const Predicate &Valid, const Point &SeedPoint,
-             const Box &Bounds, bool Capped, GrowMemo &Memo,
-             SolverBudget &Budget, bool &Exhausted) {
+Box growFrom(GrowContext &Ctx, const Point &SeedPoint, const Box &Bounds,
+             bool Capped) {
   Box Cur = Box::point(SeedPoint);
   size_t N = Cur.arity();
   bool Changed = true;
-  while (Changed && !Exhausted) {
+  while (Changed && !Ctx.Exhausted) {
     Changed = false;
-    for (size_t D = 0; D != N && !Exhausted; ++D) {
+    for (size_t D = 0; D != N && !Ctx.Exhausted; ++D) {
       int64_t MaxStep = 0;
       if (Capped) {
         // Cap the per-round growth at the current width so all dimensions
@@ -163,8 +235,7 @@ Box growFrom(const Predicate &Valid, const Point &SeedPoint,
         MaxStep = satWidth(Cur.dim(D));
       }
       for (bool Upper : {true, false}) {
-        Interval NewD = extendSide(Valid, Cur, D, Upper, Bounds.dim(D),
-                                   MaxStep, Memo, Budget, Exhausted);
+        Interval NewD = extendSide(Ctx, Cur, D, Upper, Bounds.dim(D), MaxStep);
         if (NewD != Cur.dim(D)) {
           Cur = Cur.withDim(D, NewD);
           Changed = true;
@@ -211,7 +282,8 @@ GrowResult anosy::growMaximalBox(const Predicate &Valid, const Predicate &Seed,
   bool Capped = Config.Objective != GrowObjective::Volume;
 
   std::vector<Box> Candidates;
-  GrowMemo Memo;
+  std::vector<Point> Seeds;
+  GrowContext Ctx{Valid, Config.NoValidPoint, Budget, {}};
   for (unsigned R = 0; R != Restarts; ++R) {
     // Fault-injection site: an abandoned restart reports as an exhausted
     // search, so the degradation machinery upstream (retry, then the
@@ -227,23 +299,23 @@ GrowResult anosy::growMaximalBox(const Predicate &Valid, const Predicate &Seed,
     }
     if (!W.Witness)
       break; // The seed region is empty; later restarts won't differ.
-    bool GrowExhausted = false;
-    Box Grown = growFrom(Valid, *W.Witness, Bounds, Capped, Memo, Budget,
-                         GrowExhausted);
-    if (GrowExhausted) {
+    // A seed an earlier restart grew from grows the same box again: every
+    // answer it would get is exact.
+    if (std::find(Seeds.begin(), Seeds.end(), *W.Witness) != Seeds.end())
+      continue;
+    Seeds.push_back(*W.Witness);
+    Box Grown = growFrom(Ctx, *W.Witness, Bounds, Capped);
+    if (Ctx.Exhausted) {
       Result.Exhausted = true;
       break;
     }
     // Every slab the box grew by was proved valid. The seed point was
     // only searched with Seed, which need not imply Valid.
     if (Valid.evalPoint(*W.Witness))
-      Memo.addValidBox(Grown);
+      Ctx.Memo.addValidBox(Grown);
     // Skip duplicates of earlier restarts.
-    bool Duplicate = false;
-    for (const Box &C : Candidates)
-      if (C == Grown)
-        Duplicate = true;
-    if (!Duplicate)
+    if (std::find(Candidates.begin(), Candidates.end(), Grown) ==
+        Candidates.end())
       Candidates.push_back(std::move(Grown));
   }
   if (Candidates.empty())

@@ -52,6 +52,12 @@ struct GrowerConfig {
   /// Independent seed searches; more restarts explore more maximal boxes.
   unsigned Restarts = 6;
   uint64_t Seed = 0xA905;
+  /// Boxes known to hold no point that satisfies Valid, such as the boxes
+  /// grown for the query's other answer. A slab that meets one is answered
+  /// invalid without a search when Valid.evalPoint rejects the meeting
+  /// point nearest the growing box. A fact, not a tuning knob: the grown
+  /// boxes are the same with or without it; only the work differs.
+  std::vector<Box> NoValidPoint;
 };
 
 /// Result of a grow run.

@@ -76,15 +76,20 @@ Synthesizer::makeSearch(PredicateRef Base,
 
 Result<Box> Synthesizer::synthUnderBox(const ResponseSearch &Search,
                                        SolverBudget &Budget,
-                                       SynthStats *Stats) const {
+                                       SynthStats *Stats,
+                                       std::vector<Box> NoValidPoint,
+                                       std::vector<Box> *Grown) const {
   if (Search.EmptyBranch)
     return Box::bottom(S.arity());
   GrowerConfig Config;
   Config.Objective = Options.Objective;
   Config.Restarts = Options.Restarts;
   Config.Seed = Options.Seed;
+  Config.NoValidPoint = std::move(NoValidPoint);
   GrowResult R =
       growMaximalBox(*Search.P, *Search.P, Search.Region, Config, Budget);
+  if (Grown != nullptr)
+    *Grown = R.ParetoFront;
   if (R.Exhausted) {
     if (!Options.KeepPartialOnExhaustion)
       return exhaustedError();
@@ -122,10 +127,14 @@ Synthesizer::synthesizeInterval(ApproxKind Kind, SynthStats *Stats) const {
 
   IndSets<Box> Sets{Box::bottom(S.arity()), Box::bottom(S.arity())};
   if (Kind == ApproxKind::Under) {
-    auto T = synthUnderBox(ST, Budget, Stats);
+    // Every point of a box grown for the True answer satisfies the query,
+    // so none is valid for the False answer: the False grow gets them as
+    // facts (DESIGN.md §13).
+    std::vector<Box> TrueBoxes;
+    auto T = synthUnderBox(ST, Budget, Stats, {}, &TrueBoxes);
     if (!T)
       return T.error();
-    auto F = synthUnderBox(SF, Budget, Stats);
+    auto F = synthUnderBox(SF, Budget, Stats, std::move(TrueBoxes));
     if (!F)
       return F.error();
     Sets.TrueSet = T.takeValue();
@@ -175,10 +184,9 @@ Synthesizer::synthesizeInterval(ApproxKind Kind, SynthStats *Stats) const {
   return Sets;
 }
 
-Result<PowerBox> Synthesizer::synthUnderPowerset(const ResponseSearch &Search,
-                                                 unsigned K,
-                                                 SolverBudget &Budget,
-                                                 SynthStats *Stats) const {
+Result<PowerBox> Synthesizer::synthUnderPowerset(
+    const ResponseSearch &Search, unsigned K, SolverBudget &Budget,
+    SynthStats *Stats, const std::vector<Box> &NoValidPoint) const {
   if (Search.EmptyBranch)
     return PowerBox(S.arity());
   // Algorithm 1, under arm: each iteration grows a fresh maximal valid box
@@ -197,6 +205,10 @@ Result<PowerBox> Synthesizer::synthUnderPowerset(const ResponseSearch &Search,
     Config.Objective = Options.Objective;
     Config.Restarts = Options.Restarts;
     Config.Seed = Options.Seed + I * 7919;
+    // Grow excludes the boxes already taken.
+    Config.NoValidPoint = NoValidPoint;
+    Config.NoValidPoint.insert(Config.NoValidPoint.end(), DomI.begin(),
+                               DomI.end());
     GrowResult R = growMaximalBox(*Grow, *Grow, Search.Region, Config, Budget);
     if (R.Exhausted) {
       if (!Options.KeepPartialOnExhaustion)
@@ -252,6 +264,8 @@ Result<PowerBox> Synthesizer::synthOverPowerset(const ResponseSearch &Search,
     Config.Objective = GrowObjective::Volume;
     Config.Restarts = Options.Restarts;
     Config.Seed = Options.Seed + I * 104729;
+    // Grow excludes the boxes already carved.
+    Config.NoValidPoint = DomO;
     GrowResult R =
         growMaximalBox(*Grow, *Grow, First.Bounding, Config, Budget);
     if (R.Exhausted) {
@@ -294,7 +308,7 @@ Synthesizer::synthesizePowerset(ApproxKind Kind, unsigned K,
     auto T = synthUnderPowerset(ST, K, Budget, Stats);
     if (!T)
       return T.error();
-    auto F = synthUnderPowerset(SF, K, Budget, Stats);
+    auto F = synthUnderPowerset(SF, K, Budget, Stats, T->includes());
     if (!F)
       return F.error();
     Sets.TrueSet = T.takeValue();

@@ -132,13 +132,18 @@ private:
                             const std::optional<Box> &Seed) const;
 
   /// One response's interval under-approximation (maximal valid box).
+  /// \p NoValidPoint are boxes known to hold no valid point
+  /// (GrowerConfig::NoValidPoint); \p Grown, when set, receives the
+  /// grower's Pareto front, every box of which is valid.
   Result<Box> synthUnderBox(const ResponseSearch &Search, SolverBudget &B,
-                            SynthStats *Stats) const;
+                            SynthStats *Stats,
+                            std::vector<Box> NoValidPoint = {},
+                            std::vector<Box> *Grown = nullptr) const;
 
   /// One response's powerset under-approximation (Algorithm 1, under arm).
-  Result<PowerBox> synthUnderPowerset(const ResponseSearch &Search,
-                                      unsigned K, SolverBudget &B,
-                                      SynthStats *Stats) const;
+  Result<PowerBox> synthUnderPowerset(
+      const ResponseSearch &Search, unsigned K, SolverBudget &B,
+      SynthStats *Stats, const std::vector<Box> &NoValidPoint = {}) const;
 
   /// One response's powerset over-approximation (Algorithm 1, over arm).
   Result<PowerBox> synthOverPowerset(const ResponseSearch &Search,

@@ -305,3 +305,56 @@ TEST(Optimize, GrowerRemembersOnlyCounterexamplesThePointAnswerConfirms) {
   EXPECT_EQ(*R.Best, Bounds);
   EXPECT_GE(Valid.HonestProbes, 1u);
 }
+
+TEST(Optimize, NoValidPointBoxCountsOnlyThroughThePointAnswer) {
+  // Every point is valid, but the caller claims (3, 0) is not. evalPoint
+  // accepts (3, 0), so the claim must neither stop the slab that meets it
+  // nor be remembered: the grow reaches the whole bounds with exactly the
+  // work it does without the claim.
+  PredicateRef Valid = constPredicate(true);
+  PredicateRef Seed = inBoxPredicate(Box::point({0, 0}));
+  const Box Bounds({{0, 7}, {0, 7}});
+  GrowerConfig Config;
+  Config.Objective = GrowObjective::Volume;
+  Config.Restarts = 1;
+  SolverBudget Plain;
+  GrowResult Want = growMaximalBox(*Valid, *Seed, Bounds, Config, Plain);
+  Config.NoValidPoint = {Box::point({3, 0})};
+  SolverBudget Claimed;
+  GrowResult Got = growMaximalBox(*Valid, *Seed, Bounds, Config, Claimed);
+  ASSERT_TRUE(Got.Best.has_value());
+  EXPECT_EQ(*Got.Best, Bounds);
+  EXPECT_EQ(Got.Best, Want.Best);
+  EXPECT_EQ(Claimed.used(), Plain.used());
+}
+
+TEST(Optimize, NoValidPointBoxesSaveSearchesNotAnswers) {
+  // The query's other answer, handed over as boxes with no valid point:
+  // the grown boxes stay the same and the grow gets no dearer.
+  Schema S = userLoc();
+  uint64_t PlainNodes = 0, FactNodes = 0;
+  PredicateRef Valid = q(S, "!(abs(x - 200) + abs(y - 200) <= 100)");
+  PredicateRef Other = q(S, "abs(x - 200) + abs(y - 200) <= 100");
+  for (GrowObjective Obj : {GrowObjective::Volume, GrowObjective::Balanced,
+                            GrowObjective::ParetoWidth}) {
+    GrowerConfig Config;
+    Config.Objective = Obj;
+    SolverBudget OtherBudget;
+    GrowResult Facts =
+        growMaximalBox(*Other, *Other, Box::top(S), Config, OtherBudget);
+    ASSERT_FALSE(Facts.ParetoFront.empty());
+    SolverBudget Plain;
+    GrowResult Want =
+        growMaximalBox(*Valid, *Valid, Box::top(S), Config, Plain);
+    Config.NoValidPoint = Facts.ParetoFront;
+    SolverBudget WithFacts;
+    GrowResult Got =
+        growMaximalBox(*Valid, *Valid, Box::top(S), Config, WithFacts);
+    EXPECT_EQ(Got.Best, Want.Best) << growObjectiveName(Obj);
+    EXPECT_EQ(Got.ParetoFront, Want.ParetoFront) << growObjectiveName(Obj);
+    EXPECT_LE(WithFacts.used(), Plain.used()) << growObjectiveName(Obj);
+    PlainNodes += Plain.used();
+    FactNodes += WithFacts.used();
+  }
+  EXPECT_LT(FactNodes, PlainNodes);
+}
