@@ -205,7 +205,8 @@ Result<PowerBox> Synthesizer::synthUnderPowerset(
     Config.Objective = Options.Objective;
     Config.Restarts = Options.Restarts;
     Config.Seed = Options.Seed + I * 7919;
-    // Grow excludes the boxes already taken.
+    // Grow accepts no point of the caller's boxes, nor of those already
+    // taken.
     Config.NoValidPoint = NoValidPoint;
     Config.NoValidPoint.insert(Config.NoValidPoint.end(), DomI.begin(),
                                DomI.end());
@@ -308,6 +309,8 @@ Synthesizer::synthesizePowerset(ApproxKind Kind, unsigned K,
     auto T = synthUnderPowerset(ST, K, Budget, Stats);
     if (!T)
       return T.error();
+    // As in synthesizeInterval: the True includes hold no point the
+    // False grows accept.
     auto F = synthUnderPowerset(SF, K, Budget, Stats, T->includes());
     if (!F)
       return F.error();

@@ -141,6 +141,7 @@ private:
                             std::vector<Box> *Grown = nullptr) const;
 
   /// One response's powerset under-approximation (Algorithm 1, under arm).
+  /// \p NoValidPoint are boxes known to hold no valid point.
   Result<PowerBox> synthUnderPowerset(
       const ResponseSearch &Search, unsigned K, SolverBudget &B,
       SynthStats *Stats, const std::vector<Box> &NoValidPoint = {}) const;
